@@ -130,16 +130,20 @@ def build_config(values: dict) -> RunConfig:
                      seed=values.get("seed", 0))
 
 
-def _load_config(args) -> RunConfig:
+def _config_values(args) -> dict:
+    """The config file's values (if one is given) with flag overrides."""
     values = {}
     if getattr(args, "config", None):
         values.update(parse_config_text(Path(args.config).read_text()))
     for key in _CONFIG_KEYS:
-        flag = key if key != "n_nodes" else "n_nodes"
-        v = getattr(args, flag, None)
+        v = getattr(args, key, None)
         if v is not None:
             values[key] = v
-    return build_config(values)
+    return values
+
+
+def _load_config(args) -> RunConfig:
+    return build_config(_config_values(args))
 
 
 def _emit(text: str, out: str | None):
@@ -307,15 +311,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     # verify only consumes the grid and the seed; the suite pins its own
-    # physics parameters.  A config is still fully validated if provided.
-    values = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_text(Path(args.config).read_text()))
+    # physics parameters.  A config is still fully validated if provided
+    # (without one, the all-zero default parameters are degenerate).
+    values = _config_values(args)
+    if args.config:
         build_config(values)
-    for key in _CONFIG_KEYS:
-        v = getattr(args, key, None)
-        if v is not None:
-            values[key] = v
     grid = Grid(values.get("Lx", 20.0), values.get("n_nodes", 801))
     seed = values.get("seed", 0)
     report = verification.run_all(grid, seed=seed)

@@ -6,8 +6,10 @@ in the explicit form
     m_t = ( m x H - alpha m x (m x H) ) / (1 + alpha^2)
 
 by the classical 4th-order one-step method with pointwise renormalization
-after every step.  Far-field nodes are clamped to the boundary equilibria,
-matching the travelling-wave boundary conditions on a truncated domain.
+after every step.  `llg_rhs` is the one right-hand side; its field H is
+energetics.effective_field_cartesian.  Far-field nodes are clamped to the
+boundary equilibria, matching the travelling-wave boundary conditions on a
+truncated domain.
 
 The exchange term makes the system stiff: the step must satisfy
 dt <= 0.25 h^2 (the default is 0.2 h^2).  At zero applied field the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energetics import energy_cartesian, equilibria, potential
+from .energetics import effective_field_cartesian, energy_cartesian, equilibria, potential
 from .errors import (
     ConfigError,
     Instability,
@@ -71,23 +73,11 @@ def llg_rhs(m: np.ndarray, params: Params, grid: Grid,
     if m_minus is None or m_plus is None:
         eq = equilibria(params)
         m_minus, m_plus = eq.m_minus(), eq.m_plus()
-    H = _field(m, params, grid.h, m_minus, m_plus)
+    H = effective_field_cartesian(m, params, grid, m_minus, m_plus)
     out = _precession(m, H, params.alpha)
     out[0] = 0.0
     out[-1] = 0.0
     return out
-
-
-def _field(m, params, h, m_minus, m_plus):
-    H = np.empty_like(m)
-    h2 = h * h
-    H[1:-1] = (m[2:] - 2.0 * m[1:-1] + m[:-2]) / h2
-    H[0] = (m[1] - 2.0 * m[0] + m_minus) / h2
-    H[-1] = (m_plus - 2.0 * m[-1] + m[-2]) / h2
-    H[:, 0] += m[:, 0] + params.H1
-    H[:, 1] += -params.K2 * m[:, 1] + params.H2
-    H[:, 2] += params.H3
-    return H
 
 
 def _cross(a, b):
@@ -164,12 +154,6 @@ def integrate(
     u_ref = potential(m_plus, params)
     field_free = params.H1 == 0.0 and params.H2 == 0.0 and params.H3 == 0.0
 
-    def rhs(mm):
-        out = _precession(mm, _field(mm, params, h, m_minus, m_plus), params.alpha)
-        out[0] = 0.0
-        out[-1] = 0.0
-        return out
-
     def energy(mm):
         return energy_cartesian(mm, params, grid, u_ref)
 
@@ -182,10 +166,10 @@ def integrate(
     worst_drift = 0.0
     prev_energy = energies[0]
     for k in range(1, n_steps + 1):
-        k1 = rhs(m)
-        k2 = rhs(m + (0.5 * dt) * k1)
-        k3 = rhs(m + (0.5 * dt) * k2)
-        k4 = rhs(m + dt * k3)
+        k1 = llg_rhs(m, params, grid, m_minus, m_plus)
+        k2 = llg_rhs(m + (0.5 * dt) * k1, params, grid, m_minus, m_plus)
+        k3 = llg_rhs(m + (0.5 * dt) * k2, params, grid, m_minus, m_plus)
+        k4 = llg_rhs(m + dt * k3, params, grid, m_minus, m_plus)
         m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
         norms = np.sqrt((m * m).sum(axis=1))

@@ -184,6 +184,8 @@ def effective_field(p: PolarProfile, params: Params, grid: Grid) -> np.ndarray:
 
 
 def effective_field_cartesian(m, params: Params, grid: Grid, m_minus, m_plus) -> np.ndarray:
+    """Effective field of (n, 3) Cartesian samples, with m_minus/m_plus as
+    the ghost nodes beyond the ends; the field of dynamics.llg_rhs."""
     h2 = grid.h * grid.h
     ext = np.empty((m.shape[0] + 2, 3))
     ext[1:-1] = m

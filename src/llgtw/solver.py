@@ -147,11 +147,9 @@ class NewtonOptions:
     max_iter: int = 50
     backtrack_factor: float = 0.5
     max_backtracks: int = 30
-    fd_step: float = 1e-7
-    check_jacobian: bool = False
 
     def __post_init__(self):
-        if min(self.tol_residual, self.max_iter, self.fd_step) <= 0:
+        if min(self.tol_residual, self.max_iter) <= 0:
             raise ConfigError("Newton options must be positive")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ConfigError("backtrack factor must lie in (0, 1)")
@@ -398,42 +396,6 @@ def jacobian_fd(u, w, V, params, ref, grid, step=1e-7) -> np.ndarray:
     return J
 
 
-def _sampled_jacobian_check(u, w, V, params, ref, grid, st, opts):
-    ab, ccol, drow = _assemble_jacobian(st, V, params, ref, grid)
-    N = ccol.size
-    rng = np.random.default_rng(1)
-    for _ in range(3):
-        v = rng.standard_normal(N + 1)
-        du = np.zeros(grid.n_nodes)
-        dw = np.zeros(grid.n_nodes)
-        du[1:-1] = v[0:N:2]
-        dw[1:-1] = v[1:N:2]
-        eps = opts.fd_step
-        rp = _evaluate(u + eps * du, w + eps * dw, V + eps * v[-1], params, ref, grid).res
-        rm = _evaluate(u - eps * du, w - eps * dw, V - eps * v[-1], params, ref, grid).res
-        fd = np.concatenate([(_interleave(rp) - _interleave(rm)), [rp.phase - rm.phase]])
-        fd /= 2 * eps
-        Jv_band = _band_matvec(ab, v[:N]) + ccol * v[-1]
-        Jv = np.concatenate([Jv_band, [drow @ v[:N]]])
-        scale = np.max(np.abs(fd)) + 1.0
-        if np.max(np.abs(Jv - fd)) / scale > 1e-5:
-            raise NoConvergence(
-                "analytic Jacobian failed its finite-difference cross-check"
-            )
-
-
-def _band_matvec(ab, x):
-    N = x.size
-    y = np.zeros(N)
-    for d in range(-_BW, _BW + 1):
-        band = ab[_BW - d]
-        if d >= 0:
-            y[:N - d] += band[d:] * x[d:]
-        else:
-            y[-d:] += band[:N + d] * x[:N + d]
-    return y
-
-
 def solve_tw(
     params: Params,
     regime: Regime,
@@ -480,9 +442,6 @@ def solve_tw(
         if rn < opts.tol_residual:
             profile = PolarProfile(ref.psi + u, ref.beta + w, ref.bc_minus, ref.bc_plus)
             return TWSolution(profile, float(V), params, rn, grid, iterations=it - 1)
-
-        if opts.check_jacobian:
-            _sampled_jacobian_check(u, w, V, params, ref, grid, st, opts)
 
         ab, ccol, drow = _assemble_jacobian(st, V, params, ref, grid)
         rhs = np.column_stack([-_interleave(st.res), ccol])

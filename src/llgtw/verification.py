@@ -3,9 +3,10 @@ run as a sequence of numbered checks with stated tolerances.
 
 Each check returns a CheckResult; `run_all` executes them in order and
 assembles a JSON-able report with one entry per criterion.  The suite is
-deterministic for a fixed grid and seed.  Checks 7-9 share one set of
-travelling-wave solves over two parameter lattices (a box around the
-anisotropy-dominated base and one around the transverse-field base).
+deterministic for a fixed grid and seed.  Checks 7 and 8 run one body over
+two parameter lattices (a box around the anisotropy-dominated base and one
+around the transverse-field base); check 9 reads the velocity-identity
+values they computed.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def _solve_lattice(spec: dict, grid: Grid, alpha: float = 0.1):
     return out
 
 
-def _continuity_violations(sols: dict, spec: dict):
+def _continuity_violations(sols: dict):
     """Second-difference continuity scan of V along each lattice axis.
 
     A translate or branch jump shows up as a second difference large
@@ -217,7 +218,18 @@ def _continuity_violations(sols: dict, spec: dict):
     return worst
 
 
-def _lattice_checks(sols: dict, spec: dict):
+@dataclass(frozen=True)
+class Lattice:
+    """The solves of one lattice, keyed by (H1, H2, H3, K2), with their
+    velocity-identity mismatch as check 9 reads it."""
+
+    solutions: dict
+    max_rel: float   # largest |V - identity| / |V| where H1 != 0
+    max_v0: float    # largest |V| where H1 = 0
+
+
+def _check_lattice(name: str, spec: dict, grid: Grid):
+    sols = _solve_lattice(spec, grid)
     max_dv = 0.0
     max_rel = 0.0
     max_v0 = 0.0
@@ -228,51 +240,29 @@ def _lattice_checks(sols: dict, spec: dict):
             max_v0 = max(max_v0, abs(sol.V))
         else:
             max_rel = max(max_rel, abs(sol.V - vid) / abs(sol.V))
-    return max_dv, max_rel, max_v0
+    cont = _continuity_violations(sols)
+    result = CheckResult(
+        name,
+        "all 81 lattice solves converge; |V - identity| <= 1e-6; V varies continuously",
+        {"n_solved": len(sols), "max_abs_V_minus_identity": max_dv,
+         "continuity_worst_ratio": cont},
+        {"V_minus_identity": 1e-6, "continuity_ratio": 1.0},
+        max_dv <= 1e-6 and cont <= 1.0,
+    )
+    return result, Lattice(sols, max_rel, max_v0)
 
 
 def check_tw_lattice_anisotropy(grid: Grid):
-    sols = _solve_lattice(_LATTICE_W, grid)
-    max_dv, max_rel, max_v0 = _lattice_checks(sols, _LATTICE_W)
-    cont = _continuity_violations(sols, _LATTICE_W)
-    ok = max_dv <= 1e-6 and cont <= 1.0
-    result = CheckResult(
-        "7 travelling waves near the anisotropy base",
-        "all 81 lattice solves converge; |V - identity| <= 1e-6; V varies continuously",
-        {"n_solved": len(sols), "max_abs_V_minus_identity": max_dv,
-         "continuity_worst_ratio": cont},
-        {"V_minus_identity": 1e-6, "continuity_ratio": 1.0},
-        ok,
-    )
-    return result, sols
+    return _check_lattice("7 travelling waves near the anisotropy base", _LATTICE_W, grid)
 
 
 def check_tw_lattice_transverse(grid: Grid):
-    sols = _solve_lattice(_LATTICE_T, grid)
-    max_dv, max_rel, max_v0 = _lattice_checks(sols, _LATTICE_T)
-    cont = _continuity_violations(sols, _LATTICE_T)
-    ok = max_dv <= 1e-6 and cont <= 1.0
-    result = CheckResult(
-        "8 travelling waves near the transverse base",
-        "all 81 lattice solves converge; |V - identity| <= 1e-6; V varies continuously",
-        {"n_solved": len(sols), "max_abs_V_minus_identity": max_dv,
-         "continuity_worst_ratio": cont},
-        {"V_minus_identity": 1e-6, "continuity_ratio": 1.0},
-        ok,
-    )
-    return result, sols
+    return _check_lattice("8 travelling waves near the transverse base", _LATTICE_T, grid)
 
 
-def check_velocity_identity(sols_w: dict, sols_t: dict) -> CheckResult:
-    max_rel = 0.0
-    max_v0 = 0.0
-    for sols in (sols_w, sols_t):
-        for key, sol in sols.items():
-            vid = velocity_identity(sol)
-            if key[0] == 0.0:
-                max_v0 = max(max_v0, abs(sol.V))
-            else:
-                max_rel = max(max_rel, abs(sol.V - vid) / abs(sol.V))
+def check_velocity_identity(lattice_w: Lattice, lattice_t: Lattice) -> CheckResult:
+    max_rel = max(lattice_w.max_rel, lattice_t.max_rel)
+    max_v0 = max(lattice_w.max_v0, lattice_t.max_v0)
     ok = max_rel <= 1e-6 and max_v0 <= 1e-10
     return CheckResult(
         "9 velocity-identity self-consistency",
@@ -406,11 +396,11 @@ def run_all(grid: Grid | None = None, seed: int = 0) -> dict:
     results.append(check_shifted_bound(grid, seed=seed))
     results.append(check_tilt_bound(grid))
     results.append(check_transverse_azimuth_kernel(grid))
-    r7, sols_w = check_tw_lattice_anisotropy(grid)
+    r7, lattice_w = check_tw_lattice_anisotropy(grid)
     results.append(r7)
-    r8, sols_t = check_tw_lattice_transverse(grid)
+    r8, lattice_t = check_tw_lattice_transverse(grid)
     results.append(r8)
-    results.append(check_velocity_identity(sols_w, sols_t))
+    results.append(check_velocity_identity(lattice_w, lattice_t))
     results.append(check_mobility(grid))
     results.append(check_dynamics_consistency(grid.n_nodes))
     results.append(check_refinement(grid))

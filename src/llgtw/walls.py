@@ -5,7 +5,9 @@ Two walls are constructed:
 * the Bloch wall m = (tanh xi, 0, sech xi), static for any K2 > 0 at zero
   applied field, with polar form psi = pi/2, beta = 2*atan(exp(-xi));
 * the transverse-field wall psi = pi/2, beta' = H3 - sin(beta), static for
-  K2 = H1 = 0 and 0 < H3 < 1, normalized by beta(0) = pi/2.
+  K2 = H1 = 0 and 0 < H3 < 1, normalized by beta(0) = pi/2.  It is evaluated
+  in closed form: with r = sqrt(1 - H3^2) and t+- = (1 +- r)/H3,
+  tan(beta/2) = t- + (t+ - t-) / (1 + t+ exp(r xi)).
 
 Both have beta strictly decreasing; the azimuth derivative of the base wall
 (-sech xi, resp. H3 - sin beta) doubles as the translation mode used by the
@@ -18,14 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidField
-from .model import TRANSVERSE, WALKER, Grid, PolarProfile, Regime
+from .errors import ConfigError, InvalidField
+from .model import BC_MATCH_TOL, TRANSVERSE, WALKER, Grid, PolarProfile, Regime
 
 # Required closeness of the azimuth to its limits at the grid ends.
 TAIL_TOL = 1e-8
-# One-step integration of the azimuth ODE uses at least this many substeps
-# per grid cell.
-MIN_SUBSTEPS = 10
 
 
 def bloch_beta(xi) -> np.ndarray:
@@ -47,65 +46,62 @@ def bloch_wall(grid: Grid) -> PolarProfile:
     return PolarProfile(psi, beta, bc_minus=(np.pi / 2, np.pi), bc_plus=(np.pi / 2, 0.0))
 
 
-def _integrate_azimuth(H3: float, grid: Grid) -> np.ndarray:
-    """Integrate beta' = H3 - sin(beta) from beta(0) = pi/2 over the grid.
+def _tan_half_limits(H3: float):
+    """Tail rate r = sqrt(1 - H3^2) and tan(beta/2) at the left and right
+    limits of the transverse wall: (1 + r)/H3 and H3/(1 + r) = (1 - r)/H3."""
+    r = float(np.sqrt(1.0 - H3 * H3))
+    return r, (1.0 + r) / H3, H3 / (1.0 + r)
 
-    Classical 4th-order one-step method, MIN_SUBSTEPS substeps per cell,
-    marching right from the centre node and left with negated step.
-    """
-    xi = grid.xi
-    c = (grid.n_nodes - 1) // 2
-    beta = np.empty(grid.n_nodes)
-    beta[c] = np.pi / 2
 
-    def rhs(b):
-        return H3 - np.sin(b)
-
-    def march(i0, i1, step):
-        hs = step / MIN_SUBSTEPS
-        b = beta[i0]
-        for i in range(i0, i1, 1 if step > 0 else -1):
-            for _ in range(MIN_SUBSTEPS):
-                k1 = rhs(b)
-                k2 = rhs(b + 0.5 * hs * k1)
-                k3 = rhs(b + 0.5 * hs * k2)
-                k4 = rhs(b + hs * k3)
-                b = b + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            beta[i + (1 if step > 0 else -1)] = b
-
-    march(c, grid.n_nodes - 1, grid.h)
-    march(c, 0, -grid.h)
-    assert xi[c] == 0.0
-    return beta
+def _tail_width(H3: float, tol: float) -> float:
+    """The xi beyond which the transverse wall is within `tol` of its limits
+    (both tails, by the symmetry beta(-xi) = pi - beta(xi))."""
+    r, t_plus, t_minus = _tan_half_limits(H3)
+    t = np.tan(0.5 * (np.arcsin(H3) + tol))
+    return float((np.log((t_plus - t) / (t - t_minus)) - np.log(t_plus)) / r)
 
 
 def transverse_wall(H3: float, grid: Grid, extend: bool = True) -> PolarProfile:
     """Static wall for a transverse field H3 along z (0 < H3 < 1).
 
     The azimuth limits are pi - asin(H3) on the left and asin(H3) on the
-    right.  The tail decays like exp(-sqrt(1 - H3^2) xi); when the endpoint
-    mismatch exceeds TAIL_TOL and `extend` is set, the wall is rebuilt on a
-    wider grid with the same spacing (the returned profile then has more
-    nodes than `grid`).
+    right, approached like exp(-sqrt(1 - H3^2) |xi|).  With `extend` set, a
+    grid whose ends miss the limits by more than TAIL_TOL is widened at the
+    same spacing (the returned profile then has more nodes than `grid`).
+    Without it, a grid too short for the profile's BC_MATCH_TOL raises
+    ConfigError naming the half-width needed.
     """
     if not 0.0 < H3 < 1.0:
         raise InvalidField(f"transverse-field invariant 0 < H3 < 1 violated: H3 = {H3}")
     b_plus = float(np.arcsin(H3))
     b_minus = float(np.pi - b_plus)
+    r, t_plus, t_minus = _tan_half_limits(H3)
 
-    work = grid
-    for _ in range(3):
-        beta = _integrate_azimuth(H3, work)
-        mismatch = max(abs(beta[-1] - b_plus), abs(beta[0] - b_minus))
-        if mismatch <= TAIL_TOL or not extend:
-            break
-        # widen by the missing e-foldings of the linearized tail rate
-        rate = np.sqrt(1.0 - H3 * H3)
-        extra = np.log(mismatch / TAIL_TOL) / rate + 2.0
-        n_extra = int(np.ceil(extra / work.h))
-        work = Grid(work.half_width + n_extra * work.h, work.n_nodes + 2 * n_extra)
+    if extend:
+        missing = _tail_width(H3, TAIL_TOL) - grid.half_width
+        if missing > 0.0:
+            n_extra = int(np.ceil(missing / grid.h))
+            grid = Grid(grid.half_width + n_extra * grid.h, grid.n_nodes + 2 * n_extra)
+    else:
+        needed = _tail_width(H3, BC_MATCH_TOL)
+        if grid.half_width < needed:
+            raise ConfigError(
+                f"domain too short for the transverse wall at H3 = {H3}: its tails "
+                f"decay at rate sqrt(1 - H3^2) = {r:.4g}, so "
+                f"half-width Lx = {grid.half_width:g} leaves the endpoints more than "
+                f"{BC_MATCH_TOL:.0e} from the boundary values; use Lx >= "
+                f"{np.ceil(10.0 * needed) / 10.0:.1f}"
+            )
 
-    psi = np.full(work.n_nodes, np.pi / 2)
+    # the exact wall: tan(beta/2) = t- + (t+ - t-) / (1 + t+ exp(r xi)).  Every
+    # term is positive, so nothing cancels; exp(-|z|) cannot overflow, and
+    # where it underflows the tail term is far below the rounding of t-.
+    z = r * grid.xi + np.log(t_plus)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(z))
+        s = np.where(z > 0.0, e, 1.0) / (1.0 + e)  # = 1 / (1 + exp(z))
+        beta = 2.0 * np.arctan(t_minus + (t_plus - t_minus) * s)
+    psi = np.full(grid.n_nodes, np.pi / 2)
     return PolarProfile(psi, beta, bc_minus=(np.pi / 2, b_minus), bc_plus=(np.pi / 2, b_plus))
 
 
@@ -114,9 +110,9 @@ class BaseProfile:
     """A static base wall with analytic derivatives, as the solver needs it.
 
     psi/beta are the angles on the grid; d-prefixed fields are first and
-    second xi-derivatives evaluated analytically (no finite differences),
-    and beta_prime is the translation-mode azimuth derivative used by the
-    phase condition. bc_minus/bc_plus are the exact boundary angles.
+    second xi-derivatives evaluated analytically (no finite differences);
+    dbeta doubles as the translation mode used by the phase condition.
+    bc_minus/bc_plus are the exact boundary angles.
     """
 
     grid: Grid
@@ -128,10 +124,6 @@ class BaseProfile:
     d2beta: np.ndarray
     bc_minus: tuple[float, float]
     bc_plus: tuple[float, float]
-
-    @property
-    def beta_prime(self) -> np.ndarray:
-        return self.dbeta
 
 
 def base_profile(regime: Regime, grid: Grid) -> BaseProfile:
@@ -216,6 +208,3 @@ def base_profile(regime: Regime, grid: Grid) -> BaseProfile:
         bc_plus=rotated_bc(wall.bc_plus[1], beta[-1]),
     )
 
-
-def as_profile(base: BaseProfile) -> PolarProfile:
-    return PolarProfile(base.psi, base.beta, base.bc_minus, base.bc_plus)

@@ -172,6 +172,9 @@ def test_exit_code_on_config_error(capsys, tmp_path):
     assert "degenerate" in capsys.readouterr().err
     assert run(["solve-tw", "--K2", "1.0", "--n-nodes", "800"]) == 2
     assert "odd" in capsys.readouterr().err
+    # a domain too short for the transverse wall's tails names the Lx needed
+    assert run(["solve-tw", "--regime", "transverse", "--H3", "0.9"]) == 2
+    assert "Lx >= 26.1" in capsys.readouterr().err
 
 
 def test_verify_rejects_degenerate_config(tmp_path, capsys):

@@ -146,6 +146,13 @@ def test_residual_endpoint_enforcement(grid):
 
 # --- Jacobian -----------------------------------------------------------------
 
+def _assert_jacobian_matches_fd(u, w, V, params, ref, g):
+    Ja = tws.jacobian_dense(u, w, V, params, ref, g)
+    Jf = tws.jacobian_fd(u, w, V, params, ref, g, step=1e-6)
+    err = np.abs(Ja - Jf) / np.maximum(np.abs(Jf), 1.0)
+    assert err.max() < 1e-5
+
+
 def test_jacobian_matches_finite_differences():
     g = model.Grid(10.0, 41)
     params = model.Params(0.008, 0.03, -0.04, 1.0, 0.15)
@@ -155,17 +162,18 @@ def test_jacobian_matches_finite_differences():
     w = np.zeros(g.n_nodes)
     u[1:-1] = 0.05 * rng.standard_normal(g.n_nodes - 2)
     w[1:-1] = 0.05 * rng.standard_normal(g.n_nodes - 2)
-    Ja = tws.jacobian_dense(u, w, 0.07, params, ref, g)
-    Jf = tws.jacobian_fd(u, w, 0.07, params, ref, g, step=1e-6)
-    err = np.abs(Ja - Jf) / np.maximum(np.abs(Jf), 1.0)
-    assert err.max() < 1e-5
+    _assert_jacobian_matches_fd(u, w, 0.07, params, ref, g)
 
 
 def test_solver_jacobian_self_check(coarse):
+    # a tight solve converges, and the analytic Jacobian is right at its root
     params = model.Params(0.01, 0.02, 0.0, 1.0, 0.1)
-    opts = tws.NewtonOptions(tol_residual=1e-11, check_jacobian=True)
-    sol = tws.solve_tw(params, model.Regime.walker(1.0), coarse, opts)
+    reg = model.Regime.walker(1.0)
+    sol = tws.solve_tw(params, reg, coarse, tws.NewtonOptions(tol_residual=1e-11))
     assert sol.residual_norm < 1e-11
+    ref = tws.reference_profile(params, reg, coarse)
+    _assert_jacobian_matches_fd(sol.profile.psi - ref.psi, sol.profile.beta - ref.beta,
+                                sol.V, params, ref, coarse)
 
 
 # --- solve --------------------------------------------------------------------
@@ -260,6 +268,14 @@ def test_mesh_refinement_of_velocity(coarse):
     v1 = tws.solve_tw(params, reg, coarse, OPTS).V
     v2 = tws.solve_tw(params, reg, coarse.refined(), OPTS).V
     assert abs(v1 - v2) <= coarse.h**2
+
+
+def test_short_domain_names_needed_half_width(grid):
+    # the transverse tails decay at sqrt(1 - H3^2): L = 20 is too short
+    for H3, needed in ((0.9, "26.1"), (0.999, "203.5")):
+        params = model.Params(0, 0, H3, 0, 0.1)
+        with pytest.raises(ConfigError, match=f"sqrt\\(1 - H3\\^2\\).*Lx >= {needed}"):
+            tws.solve_tw(params, model.Regime.transverse(H3), grid, OPTS)
 
 
 def test_no_convergence_far_from_branch(coarse):

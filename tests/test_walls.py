@@ -72,9 +72,53 @@ def test_transverse_wall_small_field_limit(grid):
 
 
 def test_transverse_wall_extends_for_slow_tails(grid):
-    p = walls.transverse_wall(0.75, grid)
-    assert p.n_nodes > grid.n_nodes          # tail would miss 1e-8 at L = 20
-    assert abs(p.beta[-1] - np.arcsin(0.75)) <= walls.TAIL_TOL
+    for H3 in (0.75, 0.95):
+        p = walls.transverse_wall(H3, grid)
+        assert p.n_nodes > grid.n_nodes          # tail would miss 1e-8 at L = 20
+        assert abs(p.beta[-1] - np.arcsin(H3)) <= walls.TAIL_TOL
+        assert abs(p.beta[0] - (np.pi - np.arcsin(H3))) <= walls.TAIL_TOL
+
+
+def _rk4_azimuth(H3, grid, substeps=10):
+    """Reference wall: beta' = H3 - sin(beta) integrated from beta(0) = pi/2
+    by the classical 4th-order method, `substeps` steps per grid cell,
+    marching right from the centre node and left with negated step."""
+    c = (grid.n_nodes - 1) // 2
+    beta = np.empty(grid.n_nodes)
+    beta[c] = np.pi / 2
+
+    def rhs(b):
+        return H3 - np.sin(b)
+
+    for stop, step in ((grid.n_nodes - 1, 1), (0, -1)):
+        hs = step * grid.h / substeps
+        b = beta[c]
+        for i in range(c, stop, step):
+            for _ in range(substeps):
+                k1 = rhs(b)
+                k2 = rhs(b + 0.5 * hs * k1)
+                k3 = rhs(b + 0.5 * hs * k2)
+                k4 = rhs(b + hs * k3)
+                b = b + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            beta[i + step] = b
+    return beta
+
+
+@pytest.mark.parametrize("H3", [0.01, 0.25, 0.5, 0.75, 0.95])
+def test_transverse_wall_closed_form(grid, H3):
+    p = walls.transverse_wall(H3, grid)
+    wide = model.Grid(grid.h * (p.n_nodes - 1) / 2, p.n_nodes)
+    assert np.abs(p.beta - _rk4_azimuth(H3, wide)).max() < 1e-11
+    # mirror symmetry beta(-xi) = pi - beta(xi)
+    assert np.abs(p.beta + p.beta[::-1] - np.pi).max() < 1e-14
+
+
+def test_transverse_wall_no_float_warnings():
+    wide = model.Grid(300.0, 6001)
+    with np.errstate(all="raise"):
+        for extend in (True, False):
+            p = walls.transverse_wall(0.999, wide, extend=extend)
+            assert np.all(np.isfinite(p.beta))
 
 
 def test_transverse_wall_invalid_field(grid):
