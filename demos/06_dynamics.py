@@ -6,7 +6,9 @@ tracked velocity matches the travelling-wave solver.  At zero applied
 field the discrete energy is a Lyapunov function: it can only decrease.
 
 This demo uses a moderate grid so it finishes in a few seconds; the
-verification suite repeats it at the production resolution.
+verification suite repeats it at the production resolution.  `integrate`
+uses the implicit midpoint rule with its default step dt = 0.05 on any
+grid; `method="rk4"` selects the explicit scheme, held to dt <= 0.25 h^2.
 """
 
 import numpy as np

@@ -7,7 +7,8 @@ are JSON with a schema_version field and no timestamps, so identical
 inputs produce byte-identical output.
 
 Exit codes: 0 success, 1 verification-check failure, 2 usage or
-configuration error.
+configuration error, 3 numerical failure (NoConvergence, Instability,
+WallNearBoundary).
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ import numpy as np
 from . import dynamics as dyn
 from . import verification
 from .energetics import equilibria, torques
-from .errors import ConfigError, DegenerateRegime, LlgtwError
+from .errors import (
+    ConfigError,
+    DegenerateRegime,
+    Instability,
+    LlgtwError,
+    NoConvergence,
+    WallNearBoundary,
+)
 from .model import (
     Grid,
     Params,
@@ -305,7 +313,8 @@ def cmd_simulate(args) -> int:
             lines.append(f"{cfg.grid.xi[i]:.17g},{m[i,0]:.17g},{m[i,1]:.17g},{m[i,2]:.17g}")
         (outdir / f"snapshot_{k:06d}.csv").write_text("\n".join(lines) + "\n")
     _, vel = dyn.track_wall(traj)
-    print(f"integrated to T = {traj.t[-1]:.6g}; tracked velocity = {vel:.8g}")
+    print(f"integrated to T = {traj.t[-1]:.6g} by {traj.method}, dt = {traj.dt:.6g}, "
+          f"{traj.n_steps} steps; tracked velocity = {vel:.8g}")
     return 0
 
 
@@ -379,7 +388,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("simulate", help="integrate the magnetization dynamics")
     _add_config_flags(p)
     p.add_argument("--T", type=float, required=True)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--dt", type=float,
+                   help=f"implicit-midpoint time step (default {dyn.MIDPOINT_DT})")
     p.add_argument("--out", required=True)
     p.add_argument("--max-snapshots", dest="max_snapshots", type=int, default=50)
     p.set_defaults(func=cmd_simulate)
@@ -392,6 +402,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (NoConvergence, Instability, WallNearBoundary) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 3
     except LlgtwError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

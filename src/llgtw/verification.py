@@ -357,14 +357,15 @@ def check_refinement(grid: Grid) -> CheckResult:
     v2 = solve_tw(params, Regime.walker(1.0), g2, opts).V
     dv = abs(v1 - v2)
 
-    # dynamics final-profile change scales like dt^4 (coarse grid so the
+    # RK4's final-profile change scales like dt^4 (coarse grid so the
     # differences sit far above roundoff)
     gd = Grid(20.0, 201)
     pd = Params(0.01, 0, 0, 1.0, 0.1)
     m0 = to_cartesian(bloch_wall(gd))
     dt0 = 0.25 * gd.h * gd.h
     finals = [
-        dyn.integrate(m0, pd, gd, T=2.0, dt=dt, sample_every=10**9).profiles[-1]
+        dyn.integrate(m0, pd, gd, T=2.0, dt=dt, sample_every=10**9,
+                      method="rk4").profiles[-1]
         for dt in (dt0, dt0 / 2, dt0 / 4)
     ]
     d1 = float(np.abs(finals[0] - finals[1]).max())

@@ -25,6 +25,8 @@ from .model import BC_MATCH_TOL, TRANSVERSE, WALKER, Grid, PolarProfile, Regime
 
 # Required closeness of the azimuth to its limits at the grid ends.
 TAIL_TOL = 1e-8
+# Most nodes `transverse_wall(extend=True)` may widen a grid to.
+MAX_NODES = 10**6
 
 
 def bloch_beta(xi) -> np.ndarray:
@@ -67,9 +69,10 @@ def transverse_wall(H3: float, grid: Grid, extend: bool = True) -> PolarProfile:
     The azimuth limits are pi - asin(H3) on the left and asin(H3) on the
     right, approached like exp(-sqrt(1 - H3^2) |xi|).  With `extend` set, a
     grid whose ends miss the limits by more than TAIL_TOL is widened at the
-    same spacing (the returned profile then has more nodes than `grid`).
-    Without it, a grid too short for the profile's BC_MATCH_TOL raises
-    ConfigError naming the half-width needed.
+    same spacing (the returned profile then has more nodes than `grid`);
+    a widening past MAX_NODES raises ConfigError instead.  Without it, a
+    grid too short for the profile's BC_MATCH_TOL raises ConfigError naming
+    the half-width needed.
     """
     if not 0.0 < H3 < 1.0:
         raise InvalidField(f"transverse-field invariant 0 < H3 < 1 violated: H3 = {H3}")
@@ -81,6 +84,14 @@ def transverse_wall(H3: float, grid: Grid, extend: bool = True) -> PolarProfile:
         missing = _tail_width(H3, TAIL_TOL) - grid.half_width
         if missing > 0.0:
             n_extra = int(np.ceil(missing / grid.h))
+            if grid.n_nodes + 2 * n_extra > MAX_NODES:
+                raise ConfigError(
+                    f"transverse wall at H3 = {H3!r} too wide to build: its tails decay "
+                    f"at rate sqrt(1 - H3^2) = {r:.3g}, so reaching its limits to "
+                    f"{TAIL_TOL:.0e} needs half-width {grid.half_width + missing:.4g}, "
+                    f"{grid.n_nodes + 2 * n_extra} nodes at h = {grid.h:g}, over the "
+                    f"{MAX_NODES} node ceiling; lower H3 or coarsen the grid"
+                )
             grid = Grid(grid.half_width + n_extra * grid.h, grid.n_nodes + 2 * n_extra)
     else:
         needed = _tail_width(H3, BC_MATCH_TOL)

@@ -164,6 +164,7 @@ def test_simulate_outputs(tmp_path, capsys):
     assert len(diag) > 3
     snaps = sorted(outdir.glob("snapshot_*.csv"))
     assert snaps and snaps[0].read_text().splitlines()[0] == "xi,m1,m2,m3"
+    assert "by midpoint, dt = 0.05, 40 steps" in capsys.readouterr().out
 
 
 def test_exit_code_on_config_error(capsys, tmp_path):
@@ -175,6 +176,13 @@ def test_exit_code_on_config_error(capsys, tmp_path):
     # a domain too short for the transverse wall's tails names the Lx needed
     assert run(["solve-tw", "--regime", "transverse", "--H3", "0.9"]) == 2
     assert "Lx >= 26.1" in capsys.readouterr().err
+
+
+def test_exit_code_on_numerical_failure(capsys):
+    # past Walker breakdown the solver fails to converge: a numerical
+    # failure (3), not a usage or configuration error (2)
+    assert run(["solve-tw", "--H1", "0.2", "--K2", "1"]) == 3
+    assert "line search stagnated" in capsys.readouterr().err
 
 
 def test_verify_rejects_degenerate_config(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from llgtw import dynamics as dyn
-from llgtw import model, walls
+from llgtw import energetics, model, walls
 from llgtw import solver as tws
 from llgtw.errors import ConfigError, MultipleWalls, NoWall, WallNearBoundary
 
@@ -109,7 +109,7 @@ def test_track_wall_error_cases(grid):
 def test_step_size_precondition(grid):
     m0 = model.to_cartesian(walls.bloch_wall(grid))
     with pytest.raises(ConfigError):
-        dyn.integrate(m0, PARAMS0, grid, T=1.0, dt=0.3 * grid.h**2)
+        dyn.integrate(m0, PARAMS0, grid, T=1.0, dt=0.3 * grid.h**2, method="rk4")
 
 
 def test_wall_near_boundary_aborts():
@@ -134,9 +134,103 @@ def test_time_step_convergence_order():
     m0 = model.to_cartesian(walls.bloch_wall(gd))
     dt0 = 0.25 * gd.h**2
     finals = [
-        dyn.integrate(m0, params, gd, T=2.0, dt=dt, sample_every=10**9).profiles[-1]
+        dyn.integrate(m0, params, gd, T=2.0, dt=dt, sample_every=10**9,
+                      method="rk4").profiles[-1]
         for dt in (dt0, dt0 / 2, dt0 / 4)
     ]
     d1 = np.abs(finals[0] - finals[1]).max()
     d2 = np.abs(finals[1] - finals[2]).max()
     assert 10.0 < d1 / d2 < 26.0
+
+
+def _dense_band(ab, kl=5, ku=5):
+    """Dense matrix of a LAPACK general-band array (entry (i, j) at ab[kl + ku + i - j, j])."""
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + ku + 1)):
+            A[i, j] = ab[kl + ku + i - j, j]
+    return A
+
+
+def test_midpoint_jacobian_matches_finite_differences():
+    g = model.Grid(5.0, 21)
+    params = model.Params(0.1, 0.2, 0.3, 0.7, 0.15)
+    eq = energetics.equilibria(params)
+    m_minus, m_plus = eq.m_minus(), eq.m_plus()
+    rng = np.random.default_rng(7)
+    m, x = rng.normal(size=(2, g.n_nodes, 3))
+    m /= np.linalg.norm(m, axis=1)[:, None]
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    m[0] = x[0] = m_minus
+    m[-1] = x[-1] = m_plus
+    dt = 0.3
+
+    def residual(xx):
+        return dyn._midpoint_residual(xx, m, dt, params, g, m_minus, m_plus)
+
+    _, mid, H = residual(x)
+    J = _dense_band(dyn._midpoint_jacobian(mid, H, dt, params, g))
+    eps = 1e-6
+    J_fd = np.empty_like(J)
+    for col in range(J.shape[1]):
+        xp, xm = x.copy(), x.copy()
+        xp[1 + col // 3, col % 3] += eps
+        xm[1 + col // 3, col % 3] -= eps
+        J_fd[:, col] = (residual(xp)[0] - residual(xm)[0]).ravel() / (2 * eps)
+    assert np.abs(J - J_fd).max() < 1e-8 * np.abs(J_fd).max()
+
+
+def test_midpoint_second_order():
+    # T = 4: at T = 2 the coarsest pair reads 5.2, before the asymptotic
+    # range (the ratio there falls to 4.15, 4.04 under further halvings of dt)
+    gd = model.Grid(20.0, 201)
+    params = model.Params(0.01, 0, 0, 1.0, 0.1)
+    m0 = model.to_cartesian(walls.bloch_wall(gd))
+    finals = [
+        dyn.integrate(m0, params, gd, T=4.0, dt=dt, sample_every=10**9).profiles[-1]
+        for dt in (0.1, 0.05, 0.025)
+    ]
+    d1 = np.abs(finals[0] - finals[1]).max()
+    d2 = np.abs(finals[1] - finals[2]).max()
+    assert 3.0 <= d1 / d2 <= 5.0
+
+
+def test_midpoint_large_step_keeps_norm_and_energy(grid):
+    # dt = 100 h^2 is 400x RK4's limit; the midpoint rule keeps |m| = 1 and
+    # the zero-field energy law for any dt
+    wall = walls.bloch_wall(grid)
+    m0 = model.angles_to_cartesian(wall.psi + 0.2 / np.cosh(grid.xi), wall.beta)
+    traj = dyn.integrate(m0, PARAMS0, grid, T=20.0, dt=100 * grid.h**2, sample_every=1)
+    assert traj.n_steps == 20
+    assert traj.max_unit_violation.max() <= 1e-11
+    assert np.diff(traj.energy).max() <= 1e-12
+    assert traj.energy[-1] < traj.energy[0] - 1e-4
+
+
+def test_unknown_method_rejected(grid):
+    m0 = model.to_cartesian(walls.bloch_wall(grid))
+    with pytest.raises(ConfigError, match="bogus"):
+        dyn.integrate(m0, PARAMS0, grid, T=1.0, method="bogus")
+
+
+def test_trajectory_records_run(grid):
+    m0 = model.to_cartesian(walls.bloch_wall(grid))
+    traj = dyn.integrate(m0, PARAMS0, grid, T=0.5)
+    assert (traj.method, traj.dt, traj.n_steps) == ("midpoint", dyn.MIDPOINT_DT, 10)
+    traj = dyn.integrate(m0, PARAMS0, grid, T=0.01, method="rk4")
+    assert (traj.method, traj.dt, traj.n_steps) == ("rk4", 0.2 * grid.h**2, 5)
+
+
+def test_sampling_with_final_partial_stride(grid):
+    # 20 steps every 3rd: samples at steps 0, 3, ..., 18 and the final 20,
+    # the values a list of per-sample copies gave
+    params = model.Params(0.01, 0, 0, 1.0, 0.1)
+    m0 = model.to_cartesian(walls.bloch_wall(grid))
+    every = dyn.integrate(m0, params, grid, T=1.0, sample_every=1)
+    traj = dyn.integrate(m0, params, grid, T=1.0, sample_every=3)
+    assert traj.n_steps % 3 != 0
+    steps = list(range(0, traj.n_steps + 1, 3)) + [traj.n_steps]
+    assert np.array_equal(traj.t, np.array([k * traj.dt for k in steps]))
+    assert np.array_equal(traj.profiles, np.array([every.profiles[k] for k in steps]))
+    assert np.array_equal(traj.x_w, every.x_w[steps])

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from llgtw import model, walls
-from llgtw.errors import InvalidField
+from llgtw.errors import ConfigError, InvalidField
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +121,24 @@ def test_transverse_wall_no_float_warnings():
         for extend in (True, False):
             p = walls.transverse_wall(0.999, wide, extend=extend)
             assert np.all(np.isfinite(p.beta))
+
+
+def test_transverse_wall_widening_capped():
+    # H3 = 1 - 1e-15 would widen to ~92.7M nodes; it must fail before allocating
+    grid = model.Grid(2000.0, 4001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="tail.*4.47e-08.*half-width 4.635e"):
+            walls.transverse_wall(1.0 - 1e-15, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # a slow but buildable tail still widens
+    wide = model.Grid(300.0, 6001)
+    p = walls.transverse_wall(0.999, wide)
+    assert wide.n_nodes < p.n_nodes <= walls.MAX_NODES
+    assert abs(p.beta[-1] - np.arcsin(0.999)) <= walls.TAIL_TOL
 
 
 def test_transverse_wall_invalid_field(grid):
