@@ -73,9 +73,9 @@ class Regime:
 
     * ``walker``      -- base (0, 0, 0, K2) with K2 > 0: biaxial anisotropy,
       zero applied field; the base profile is the Bloch wall.
-    * ``transverse``  -- base (0, H2, H3, 0) with 0 < H2^2 + H3^2 < 1:
-      uniaxial wire in a transverse field; the base profile solves a
-      first-order azimuth equation.
+    * ``transverse``  -- base (0, H2, H3, 0) with 0 < H2^2 + H3^2 < 1 and
+      H3 != 0: uniaxial wire in a transverse field; the base profile solves
+      a first-order azimuth equation.
     """
 
     kind: str
@@ -94,6 +94,12 @@ class Regime:
             if not 0.0 < hsq < 1.0:
                 raise ConfigError(
                     f"transverse regime invariant 0 < H2^2+H3^2 < 1 violated: {hsq}"
+                )
+            if self.H3 == 0.0:
+                raise ConfigError(
+                    f"transverse regime with H3 = 0 and H2 = {self.H2} is not supported: "
+                    "the rotated wall's centre would lie on the hard axis y, where the "
+                    "polar chart is singular; give the base field a nonzero H3"
                 )
             if self.K2 != 0.0:
                 raise ConfigError(f"transverse regime invariant K2 = 0 violated: K2 = {self.K2}")

@@ -139,20 +139,45 @@ class ReferenceProfile:
     base: BaseProfile
 
 
+def _positive_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x > 0
+
+
 @dataclass(frozen=True)
 class NewtonOptions:
-    """Newton iteration controls for the travelling-wave solve."""
+    """Newton iteration controls for the travelling-wave solve.
+
+    Each iteration tries the damped steps lambda = 1, f, f^2, ..., down to
+    the damping floor f^(max_backtracks - 1), where f = backtrack_factor
+    (Deuflhard's minimum damping factor).  The defaults put the floor at
+    1/64: every converged solve observed in the verification suite, the
+    tests, the demos and Walker-branch sweeps down to alpha = 0.02 accepted
+    lambda >= 1/32, so only solves that would fail anyway stop sooner.
+    """
 
     tol_residual: float = 1e-10
     max_iter: int = 50
     backtrack_factor: float = 0.5
-    max_backtracks: int = 30
+    max_backtracks: int = 7
 
     def __post_init__(self):
-        if min(self.tol_residual, self.max_iter) <= 0:
-            raise ConfigError("Newton options must be positive")
+        for name in ("max_iter", "max_backtracks"):
+            if not _positive_int(getattr(self, name)):
+                raise ConfigError(
+                    f"Newton option {name} must be a positive integer, "
+                    f"got {getattr(self, name)!r}"
+                )
+        if not (np.isfinite(self.tol_residual) and self.tol_residual > 0):
+            raise ConfigError(
+                f"Newton option tol_residual must be finite and > 0, got {self.tol_residual!r}"
+            )
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ConfigError("backtrack factor must lie in (0, 1)")
+
+    @property
+    def damping_floor(self) -> float:
+        """The smallest step length the line search tries."""
+        return self.backtrack_factor ** (self.max_backtracks - 1)
 
 
 class Residual(NamedTuple):
@@ -417,9 +442,18 @@ def solve_tw(
 
     Returns a TWSolution whose profile is psi_ref + u, beta_ref + w.
 
+    Each Newton step is damped by an Armijo line search that halves lambda
+    (by `opts.backtrack_factor`) down to the damping floor
+    `opts.damping_floor` (1/64 by default).  When no lambda down to the
+    floor lowers the residual, the solve raises NoConvergence at once
+    instead of creeping on with ever shorter steps: either the seed lies
+    outside Newton's basin, or no travelling wave exists near it (past the
+    Walker fold, for instance), which `continue_branch` treats as a cue to
+    bisect its step.
+
     Raises NoConvergence when the iteration exceeds max_iter or the line
-    search stagnates (the practical signal of leaving the existence
-    neighbourhood), PolarSingularity if the tilt angle hits the hard axis.
+    search reaches the damping floor, PolarSingularity if the tilt angle
+    hits the hard axis.
     """
     opts = opts or NewtonOptions()
     validate(params, regime)
@@ -477,7 +511,11 @@ def solve_tw(
             lam *= opts.backtrack_factor
         else:
             raise NoConvergence(
-                f"line search stagnated at residual {rn:.3e} (iteration {it})"
+                f"line search stagnated: no step down to the damping floor "
+                f"lambda = {opts.damping_floor:.3g} lowers the residual {rn:.3e} "
+                f"(iteration {it}): "
+                f"either the seed lies outside Newton's basin or no travelling wave "
+                f"exists near it (for example, past a fold)"
             )
 
     raise NoConvergence(
@@ -526,6 +564,7 @@ class ContinuationReport:
 
 
 STEP_FLOOR = 1e-6  # parameter-norm floor below which failure is structural
+_LAM_NAMES = ("H1", "H2", "H3", "K2")  # the components of Params.lam()
 
 
 def continue_branch(
@@ -541,7 +580,8 @@ def continue_branch(
     Each converged solution seeds the next solve.  On failure the step is
     bisected down to a parameter-norm floor of STEP_FLOOR; if the floor is
     hit, the run stops and reports the last good parameters as the
-    empirical branch endpoint (e.g. the breakdown field).
+    empirical branch endpoint (e.g. the breakdown field); the report's
+    message names the parameters that move along the path.
     """
     if start.alpha != end.alpha:
         raise ConfigError("continuation requires equal damping at both endpoints")
@@ -550,6 +590,7 @@ def continue_branch(
     lam0 = np.array(start.lam())
     lam1 = np.array(end.lam())
     span = float(np.linalg.norm(lam1 - lam0))
+    moved = np.flatnonzero(lam1 != lam0)
 
     def at(t: float) -> Params:
         lam = lam0 + t * (lam1 - lam0)
@@ -569,10 +610,11 @@ def continue_branch(
         except (NoConvergence, PolarSingularity, NoEquilibrium, WrongSign) as err:
             dt = 0.5 * step
             if dt * span < STEP_FLOOR:
+                last = sols[-1].params.lam()
+                near = ", ".join(f"{_LAM_NAMES[k]}={last[k]:.6g}" for k in moved)
                 return sols, ContinuationReport(
                     False, sols[-1].params, len(sols),
-                    f"step floor reached after {type(err).__name__}: branch ends near "
-                    f"H1={sols[-1].params.H1:.6g}",
+                    f"step floor reached after {type(err).__name__}: branch ends near {near}",
                 )
             continue
         sols.append(sol)

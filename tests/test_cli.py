@@ -176,6 +176,9 @@ def test_exit_code_on_config_error(capsys, tmp_path):
     # a domain too short for the transverse wall's tails names the Lx needed
     assert run(["solve-tw", "--regime", "transverse", "--H3", "0.9"]) == 2
     assert "Lx >= 26.1" in capsys.readouterr().err
+    # a transverse base field along the hard axis alone is refused by name
+    assert run(["solve-tw", "--regime", "transverse", "--H2", "0.3", "--H3", "0"]) == 2
+    assert "H3 = 0" in capsys.readouterr().err
 
 
 def test_exit_code_on_numerical_failure(capsys):

@@ -55,6 +55,10 @@ def test_regime_invariants():
         model.Regime.transverse(0.0, H2=0.0)   # zero transverse field
     with pytest.raises(ConfigError):
         model.Regime(model.TRANSVERSE, H3=0.5, K2=0.2)
+    # H3 = 0 would rotate the wall's centre onto the hard axis
+    model.Regime.transverse(H3=0.4, H2=0.3)
+    with pytest.raises(ConfigError, match="H3 = 0 and H2 = 0.3"):
+        model.Regime.transverse(H3=0.0, H2=0.3)
 
 
 def test_to_cartesian_axis_cases():

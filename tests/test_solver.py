@@ -287,6 +287,46 @@ def test_no_convergence_far_from_branch(coarse):
                      tws.NewtonOptions(tol_residual=1e-10, max_iter=25))
 
 
+@pytest.mark.parametrize("bad", [
+    dict(max_backtracks=0),
+    dict(max_backtracks=-1),
+    dict(max_iter=2.5),
+    dict(max_iter=0),
+    dict(max_iter=True),
+    dict(tol_residual=float("nan")),
+    dict(tol_residual=float("inf")),
+    dict(tol_residual=0.0),
+])
+def test_newton_options_rejected_up_front(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        tws.NewtonOptions(**bad)
+
+
+def test_newton_options_damping_floor():
+    assert tws.NewtonOptions().damping_floor == 1.0 / 64
+    assert tws.NewtonOptions(np.float64(1e-9), np.int64(5)).max_iter == 5
+
+
+def test_past_fold_fails_fast(coarse, monkeypatch):
+    # seeded from the branch at 0.9 alpha*K2/2, a solve at 1.05 alpha*K2/2
+    # has no solution to find: the line search gives up at the damping floor
+    # (94 residual evaluations measured; 512 with the former 30 backtracks)
+    reg = model.Regime.walker(1.0)
+    fold = 0.5 * 0.1 * 1.0
+    seed = tws.solve_tw(model.Params(0.9 * fold, 0, 0, 1.0, 0.1), reg, coarse)
+    calls = []
+    evaluate = tws._evaluate
+
+    def counting(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(tws, "_evaluate", counting)
+    with pytest.raises(NoConvergence, match=r"damping floor lambda = 0\.0156.*past a fold"):
+        tws.solve_tw(model.Params(1.05 * fold, 0, 0, 1.0, 0.1), reg, coarse, seed=seed)
+    assert len(calls) <= 150
+
+
 # --- continuation -------------------------------------------------------------
 
 def test_continuation_zero_length(coarse):
@@ -313,6 +353,37 @@ def test_continuation_terminates_at_breakdown(grid):
     assert 0.0 < rep.last_params.H1 < 1.0
     # the empirical endpoint agrees with the known critical field alpha K2 / 2
     assert rep.last_params.H1 == pytest.approx(0.05, abs=5e-4)
+
+
+def test_continuation_low_damping_climbs_to_fold():
+    # at alpha = 0.02 converged solves on this path accept steps down to
+    # lambda = 1/32, one halving above the damping floor
+    alpha, K2 = 0.02, 1.0
+    fold = 0.5 * alpha * K2
+    start = model.Params(0, 0, 0, K2, alpha)
+    end = model.Params(2.0 * fold, 0, 0, K2, alpha)
+    run = lambda opts: tws.continue_branch(start, end, 20, model.Regime.walker(K2),
+                                           model.Grid(20.0, 201), opts)
+    sols, rep = run(tws.NewtonOptions(tol_residual=1e-11))
+    assert not rep.reached_end
+    fields = [s.params.H1 for s in sols]
+    assert all(np.diff(fields) > 0)
+    assert 0.99 * fold <= fields[-1] <= 1.01 * fold
+    # the floor only shortens failing solves: the branch is unchanged
+    old, _ = run(tws.NewtonOptions(tol_residual=1e-11, max_backtracks=30))
+    assert [(s.params, s.V) for s in sols] == [(s.params, s.V) for s in old]
+
+
+def test_continuation_names_moved_parameter():
+    start = model.Params(0.01, 0, 0, 1.0, 0.1)
+    end = model.Params(0.01, 0, 0, 0.05, 0.1)
+    sols, rep = tws.continue_branch(start, end, 10, model.Regime.walker(1.0),
+                                    model.Grid(20.0, 401))
+    assert not rep.reached_end
+    # breakdown where alpha*K2/2 falls to H1, K2 = 0.2
+    assert rep.last_params.K2 == pytest.approx(0.2, abs=1e-3)
+    assert rep.message.endswith(f"branch ends near K2={rep.last_params.K2:.6g}")
+    assert "H1" not in rep.message
 
 
 def test_continuation_alpha_mismatch(coarse):
