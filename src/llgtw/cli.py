@@ -47,7 +47,7 @@ from .model import (
     to_cartesian,
     validate,
 )
-from .solver import NewtonOptions, continue_branch, solve_tw
+from .solver import NewtonOptions, continue_branch, moving_values, solve_tw
 from .spectral import (
     bloch_azimuth_operator,
     lowest_eigenpairs,
@@ -100,19 +100,30 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
+_DEFAULTS = {
+    "H1": 0.0, "H2": 0.0, "H3": 0.0, "K2": 0.0, "alpha": 0.1, "regime": WALKER,
+    "Lx": 20.0, "n_nodes": 801, "tol_residual": 1e-10, "max_iter": 50, "seed": 0,
+}
+_PATH_KEYS = ("H1", "H2", "H3", "K2", "alpha")  # what `continue` takes from --to
+
+
+def _effective_values(values: dict) -> dict:
+    """Every configuration key with its value in effect: the given value,
+    else its default (a regime base value defaults to the target's)."""
+    eff = {**_DEFAULTS, **values}
+    for key in ("K2", "H2", "H3"):
+        eff.setdefault(f"base_{key}", eff[key])
+    return eff
+
+
 def build_config(values: dict) -> RunConfig:
     """Assemble and validate a RunConfig from a key/value mapping."""
     unknown = set(values) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    params = Params(
-        H1=values.get("H1", 0.0),
-        H2=values.get("H2", 0.0),
-        H3=values.get("H3", 0.0),
-        K2=values.get("K2", 0.0),
-        alpha=values.get("alpha", 0.1),
-    )
-    kind = values.get("regime", WALKER)
+    values = _effective_values(values)
+    params = Params(*(values[key] for key in _PATH_KEYS))
+    kind = values["regime"]
     if params.K2 == 0.0 and params.H2 == 0.0 and params.H3 == 0.0:
         # degeneracy outranks the per-regime invariants in the error report
         raise DegenerateRegime(
@@ -120,22 +131,16 @@ def build_config(values: dict) -> RunConfig:
             "transverse field; travelling-wave construction does not apply"
         )
     if kind == WALKER:
-        regime = Regime.walker(values.get("base_K2", params.K2))
+        regime = Regime.walker(values["base_K2"])
     elif kind == TRANSVERSE:
-        regime = Regime.transverse(
-            H3=values.get("base_H3", params.H3),
-            H2=values.get("base_H2", params.H2),
-        )
+        regime = Regime.transverse(H3=values["base_H3"], H2=values["base_H2"])
     else:
         raise ConfigError(f"unknown regime {kind!r} (walker | transverse)")
-    grid = Grid(values.get("Lx", 20.0), values.get("n_nodes", 801))
-    newton = NewtonOptions(
-        tol_residual=values.get("tol_residual", 1e-10),
-        max_iter=values.get("max_iter", 50),
-    )
+    grid = Grid(values["Lx"], values["n_nodes"])
+    newton = NewtonOptions(tol_residual=values["tol_residual"], max_iter=values["max_iter"])
     validate(params, regime)
     return RunConfig(params=params, regime=regime, grid=grid, newton=newton,
-                     seed=values.get("seed", 0))
+                     seed=values["seed"])
 
 
 def _config_values(args) -> dict:
@@ -232,8 +237,19 @@ def cmd_solve_tw(args) -> int:
 
 
 def cmd_continue(args) -> int:
-    cfg_from = build_config(parse_config_text(Path(args.path_from).read_text()))
-    cfg_to = build_config(parse_config_text(Path(args.path_to).read_text()))
+    values_from = parse_config_text(Path(args.path_from).read_text())
+    values_to = parse_config_text(Path(args.path_to).read_text())
+    # the regime base, grid and Newton options come from --from only
+    eff = _effective_values(values_from)
+    clash = [k for k, v in values_to.items() if k not in _PATH_KEYS and v != eff[k]]
+    if clash:
+        raise ConfigError(
+            "continue takes only " + ", ".join(_PATH_KEYS) + " from --to; it sets "
+            + ", ".join(f"{k} = {values_to[k]!r}" for k in clash)
+            + ", but --from has " + ", ".join(f"{k} = {eff[k]!r}" for k in clash)
+        )
+    cfg_from = build_config(values_from)
+    cfg_to = build_config(values_to)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     sols, report = continue_branch(
@@ -247,8 +263,9 @@ def cmd_continue(args) -> int:
         rows.append(f"{k},{p.H1:.17g},{p.H2:.17g},{p.H3:.17g},{p.K2:.17g},"
                     f"{sol.V:.17g},{sol.residual_norm:.3e}")
     (outdir / "branch.csv").write_text("\n".join(rows) + "\n")
+    moved = moving_values(cfg_from.params, cfg_to.params, report.last_params)
     print(f"{len(sols)} solutions; reached_end = {report.reached_end}; "
-          f"last H1 = {report.last_params.H1:.6g}; {report.message}")
+          f"last {moved or 'parameters unmoved'}; {report.message}")
     return 0
 
 
@@ -325,9 +342,8 @@ def cmd_verify(args) -> int:
     values = _config_values(args)
     if args.config:
         build_config(values)
-    grid = Grid(values.get("Lx", 20.0), values.get("n_nodes", 801))
-    seed = values.get("seed", 0)
-    report = verification.run_all(grid, seed=seed)
+    eff = _effective_values(values)
+    report = verification.run_all(Grid(eff["Lx"], eff["n_nodes"]), seed=eff["seed"])
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
         Path(args.out).write_text(text)

@@ -567,6 +567,14 @@ STEP_FLOOR = 1e-6  # parameter-norm floor below which failure is structural
 _LAM_NAMES = ("H1", "H2", "H3", "K2")  # the components of Params.lam()
 
 
+def moving_values(start: Params, end: Params, params: Params) -> str:
+    """`name=value` of `params` for each parameter that moves along the
+    path start -> end, comma separated (empty when nothing moves)."""
+    lam, lam0, lam1 = params.lam(), start.lam(), end.lam()
+    return ", ".join(f"{name}={lam[k]:.6g}" for k, name in enumerate(_LAM_NAMES)
+                     if lam0[k] != lam1[k])
+
+
 def continue_branch(
     start: Params,
     end: Params,
@@ -577,11 +585,16 @@ def continue_branch(
 ) -> tuple[list[TWSolution], ContinuationReport]:
     """Natural-parameter continuation along the segment start -> end.
 
-    Each converged solution seeds the next solve.  On failure the step is
-    bisected down to a parameter-norm floor of STEP_FLOOR; if the floor is
-    hit, the run stops and reports the last good parameters as the
-    empirical branch endpoint (e.g. the breakdown field); the report's
-    message names the parameters that move along the path.
+    Each solve is seeded by a secant predictor: with the last two accepted
+    solutions x_k at t_k and x_{k-1} at t_{k-1}, the seed for t_k + step is
+    x_k + r (x_k - x_{k-1}), r = step / (t_k - t_{k-1}), for psi, beta, V
+    and the boundary values alike.  The first step, and any step whose
+    extrapolated psi leaves (0, pi), is seeded by the last solution itself.
+    On failure the step is bisected down to a parameter-norm floor of
+    STEP_FLOOR; if the floor is hit, the run stops and reports the last
+    good parameters as the empirical branch endpoint (e.g. the breakdown
+    field); the report's message names the parameters that move along the
+    path.
     """
     if start.alpha != end.alpha:
         raise ConfigError("continuation requires equal damping at both endpoints")
@@ -590,7 +603,6 @@ def continue_branch(
     lam0 = np.array(start.lam())
     lam1 = np.array(end.lam())
     span = float(np.linalg.norm(lam1 - lam0))
-    moved = np.flatnonzero(lam1 != lam0)
 
     def at(t: float) -> Params:
         lam = lam0 + t * (lam1 - lam0)
@@ -600,25 +612,43 @@ def continue_branch(
     if span == 0.0:
         return sols, ContinuationReport(True, start, 1, "zero-length path")
 
+    def predict(step: float) -> TWSolution:
+        last = sols[-1]
+        if len(sols) < 2:
+            return last
+        r = step / (t - t_prev)
+        p1, p0 = last.profile, sols[-2].profile
+
+        def ext(x1, x0):
+            return np.asarray(x1) + r * (np.asarray(x1) - np.asarray(x0))
+
+        psi = ext(p1.psi, p0.psi)
+        if not (np.all(psi > 0.0) and np.all(psi < np.pi)):
+            return last
+        profile = PolarProfile(psi, ext(p1.beta, p0.beta),
+                               tuple(ext(p1.bc_minus, p0.bc_minus)),
+                               tuple(ext(p1.bc_plus, p0.bc_plus)))
+        return TWSolution(profile, float(ext(last.V, sols[-2].V)), at(t + step),
+                          np.inf, grid)
+
     base_dt = 1.0 / n_steps
     dt = base_dt
-    t = 0.0
+    t_prev, t = 0.0, 0.0
     while t < 1.0 - 1e-12:
         step = min(dt, 1.0 - t)
         try:
-            sol = solve_tw(at(t + step), regime, grid, opts, seed=sols[-1])
+            sol = solve_tw(at(t + step), regime, grid, opts, seed=predict(step))
         except (NoConvergence, PolarSingularity, NoEquilibrium, WrongSign) as err:
             dt = 0.5 * step
             if dt * span < STEP_FLOOR:
-                last = sols[-1].params.lam()
-                near = ", ".join(f"{_LAM_NAMES[k]}={last[k]:.6g}" for k in moved)
+                near = moving_values(start, end, sols[-1].params)
                 return sols, ContinuationReport(
                     False, sols[-1].params, len(sols),
                     f"step floor reached after {type(err).__name__}: branch ends near {near}",
                 )
             continue
         sols.append(sol)
-        t += step
+        t_prev, t = t, t + step
         dt = min(dt * 1.5, base_dt)
     return sols, ContinuationReport(True, sols[-1].params, len(sols), "reached end of path")
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,41 @@ def test_continue_outputs(tmp_path, capsys):
     assert len(rows) == 6
     assert (outdir / "step_0000.json").exists()
     assert (outdir / "step_0004.json").exists()
+    assert "reached_end = True; last H1=0.002;" in capsys.readouterr().out
+
+
+def test_continue_summary_names_moving_parameter(tmp_path, capsys):
+    # a K2 path at fixed H1 breaks down where alpha K2 / 2 falls to H1
+    a = tmp_path / "a.cfg"
+    b = tmp_path / "b.cfg"
+    a.write_text("H1 = 0.01\nK2 = 1.0\nalpha = 0.1\nn_nodes = 201\n")
+    b.write_text("H1 = 0.01\nK2 = 0.05\nalpha = 0.1\n")
+    assert run(["continue", "--from", str(a), "--to", str(b),
+                "--steps", "10", "--out", str(tmp_path / "branch")]) == 0
+    out = capsys.readouterr().out
+    last = re.search(r"reached_end = False; last K2=(\S+);", out)
+    assert float(last.group(1)) == pytest.approx(0.2, abs=1e-3)
+    assert out.rstrip().endswith(f"branch ends near K2={last.group(1)}")
+    assert "H1" not in out
+
+
+def test_continue_rejects_settings_it_ignores(tmp_path, capsys):
+    # the grid and the Newton options come from --from; --to may only repeat them
+    a = tmp_path / "a.cfg"
+    b = tmp_path / "b.cfg"
+    a.write_text("H1 = 0\nK2 = 1.0\nn_nodes = 201\n")
+    b.write_text("H1 = 0.002\nK2 = 1.0\nLx = 15\nn_nodes = 401\ntol_residual = 1e-6\n")
+    outdir = tmp_path / "branch"
+    assert run(["continue", "--from", str(a), "--to", str(b),
+                "--steps", "4", "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "Lx = 15.0, n_nodes = 401, tol_residual = 1e-06" in err
+    assert "Lx = 20.0, n_nodes = 201, tol_residual = 1e-10" in err
+    assert not outdir.exists()
+    # repeating --from's effective values is fine
+    b.write_text("H1 = 0.002\nK2 = 1.0\nLx = 20\nn_nodes = 201\nregime = walker\n")
+    assert run(["continue", "--from", str(a), "--to", str(b),
+                "--steps", "4", "--out", str(outdir)]) == 0
 
 
 def test_spectrum_json(capsys):

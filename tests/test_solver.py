@@ -355,6 +355,69 @@ def test_continuation_terminates_at_breakdown(grid):
     assert rep.last_params.H1 == pytest.approx(0.05, abs=5e-4)
 
 
+WALKER_FOLD = 0.5 * 0.1 * 1.0  # alpha K2 / 2 at alpha = 0.1, K2 = 1
+
+
+@pytest.fixture(scope="module")
+def walker_branches(coarse):
+    """Both Walker branches to 1.5 alpha K2/2 in 10 steps, with the residual
+    evaluations each one took."""
+    start = model.Params(0, 0, 0, 1.0, 0.1)
+    out = {}
+    for sign in (1.0, -1.0):
+        calls = []
+        evaluate = tws._evaluate
+
+        def counting(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tws, "_evaluate", counting)
+            sols, rep = tws.continue_branch(
+                start, model.Params(sign * 1.5 * WALKER_FOLD, 0, 0, 1.0, 0.1), 10,
+                model.Regime.walker(1.0), coarse, tws.NewtonOptions(tol_residual=1e-11))
+        out[sign] = (sols, rep, len(calls))
+    return out
+
+
+def test_secant_predictor_saves_residual_evaluations(walker_branches):
+    # 1,157 residual evaluations per branch with the last solution as the seed
+    for sols, rep, evals in walker_branches.values():
+        assert evals <= 500
+
+
+def test_continuation_accepted_fields(walker_branches):
+    # the step rule accepts the same points whatever the seed: the branch
+    # climbs by bisection to the fold and stops there
+    expected = [0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 0.975, 0.9890625, 0.999609375,
+                1.00010376]
+    for sols, rep, _ in walker_branches.values():
+        assert not rep.reached_end
+        fields = [abs(s.params.H1) / WALKER_FOLD for s in sols]
+        assert fields == pytest.approx(expected, abs=1e-8)
+
+
+def test_continuation_matches_exact_walker_solution(walker_branches):
+    # Schryer & Walker: V = -H1 Delta / alpha, Delta = (1 + K2 sin^2 phi)^(-1/2),
+    # sin(2 phi) = 2 H1 / (alpha K2), at every point well below the fold
+    for sols, _, _ in walker_branches.values():
+        for s in sols:
+            H1 = s.params.H1
+            if abs(H1) > 0.9 * WALKER_FOLD:
+                continue
+            phi = 0.5 * np.arcsin(H1 / WALKER_FOLD)
+            exact = -H1 / (0.1 * np.sqrt(1.0 + np.sin(phi) ** 2))
+            assert abs(s.V - exact) <= 2e-5 * abs(exact)
+
+
+def test_continuation_mirror_symmetry(walker_branches):
+    # reversing the field reverses the wave: V(-H1) = -V(H1)
+    plus, minus = walker_branches[1.0][0], walker_branches[-1.0][0]
+    assert [s.params.H1 for s in minus] == [-s.params.H1 for s in plus]
+    assert [m.V for m in minus] == pytest.approx([-p.V for p in plus], rel=1e-9, abs=1e-15)
+
+
 def test_continuation_low_damping_climbs_to_fold():
     # at alpha = 0.02 converged solves on this path accept steps down to
     # lambda = 1/32, one halving above the damping floor
