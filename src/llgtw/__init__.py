@@ -22,7 +22,6 @@ from .model import (
 )
 from .energetics import (
     EquilibriumPair,
-    effective_field,
     energy_cartesian,
     equilibria,
     micromagnetic_energy,
@@ -55,7 +54,7 @@ from .dynamics import Trajectory, integrate, llg_rhs, track_wall
 __all__ = [
     "Grid", "Params", "PolarProfile", "CartesianProfile", "Regime", "TWSolution",
     "angles_to_cartesian", "polar_from_cartesian", "to_cartesian", "validate",
-    "EquilibriumPair", "effective_field", "energy_cartesian", "equilibria",
+    "EquilibriumPair", "energy_cartesian", "equilibria",
     "micromagnetic_energy", "potential", "potential_gradient", "torques",
     "base_profile", "bloch_wall", "transverse_wall",
     "SchrodingerOp", "bloch_azimuth_operator", "transverse_azimuth_operator",

@@ -26,7 +26,6 @@ from . import verification
 from .energetics import equilibria, torques
 from .errors import (
     ConfigError,
-    DegenerateRegime,
     Instability,
     LlgtwError,
     NoConvergence,
@@ -123,13 +122,8 @@ def build_config(values: dict) -> RunConfig:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     values = _effective_values(values)
     params = Params(*(values[key] for key in _PATH_KEYS))
+    validate(params)  # degeneracy outranks the regime invariants in the error report
     kind = values["regime"]
-    if params.K2 == 0.0 and params.H2 == 0.0 and params.H3 == 0.0:
-        # degeneracy outranks the per-regime invariants in the error report
-        raise DegenerateRegime(
-            "degenerate parameters K2 = H2 = H3 = 0: no hard-axis anisotropy or "
-            "transverse field; travelling-wave construction does not apply"
-        )
     if kind == WALKER:
         regime = Regime.walker(values["base_K2"])
     elif kind == TRANSVERSE:
@@ -138,7 +132,6 @@ def build_config(values: dict) -> RunConfig:
         raise ConfigError(f"unknown regime {kind!r} (walker | transverse)")
     grid = Grid(values["Lx"], values["n_nodes"])
     newton = NewtonOptions(tol_residual=values["tol_residual"], max_iter=values["max_iter"])
-    validate(params, regime)
     return RunConfig(params=params, regime=regime, grid=grid, newton=newton,
                      seed=values["seed"])
 
@@ -185,9 +178,12 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 
 def cmd_static(args) -> int:
-    grid = Grid(args.Lx if args.Lx is not None else 20.0,
-                args.n_nodes if args.n_nodes is not None else 801)
+    eff = _effective_values(_config_values(args))
+    grid = Grid(eff["Lx"], eff["n_nodes"])
     if args.wall == "bloch":
+        if args.H3 is not None:
+            raise ConfigError("static --wall bloch takes no --H3: the Bloch wall is the "
+                              "zero-field wall; use --wall transverse for a field H3")
         profile = bloch_wall(grid)
     else:
         if args.H3 is None:
@@ -277,13 +273,19 @@ _OPERATORS = {
 
 
 def cmd_spectrum(args) -> int:
-    grid = Grid(args.Lx if args.Lx is not None else 20.0,
-                args.n_nodes if args.n_nodes is not None else 801)
+    eff = _effective_values(_config_values(args))
+    grid = Grid(eff["Lx"], eff["n_nodes"])
     if args.operator == "L":
+        if args.H3 is not None:
+            raise ConfigError("spectrum --operator L takes no --H3: the Bloch wall is the "
+                              "zero-field wall; use --operator M or N for a field H3")
         op = bloch_azimuth_operator(grid)
         if args.K2:
-            op = op.shifted(args.K2)
+            op = op.shifted(Params(K2=args.K2).K2)  # Params rejects a negative K2
     else:
+        if args.K2 is not None:
+            raise ConfigError(f"spectrum --operator {args.operator} takes no --K2: the "
+                              "transverse wall has K2 = 0; --K2 shifts operator L only")
         if args.H3 is None:
             raise ConfigError(f"spectrum --operator {args.operator} requires --H3 in (0, 1)")
         build = transverse_azimuth_operator if args.operator == "M" else transverse_tilt_operator
@@ -307,6 +309,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.max_snapshots < 1:
+        raise ConfigError(f"simulate --max-snapshots must be >= 1, got {args.max_snapshots}")
     cfg = _load_config(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

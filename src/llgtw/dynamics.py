@@ -235,11 +235,16 @@ def integrate(
     sample_every : steps between recorded samples (default: ~200 samples).
     method : "midpoint" (implicit midpoint rule) or "rk4".
 
-    Raises Instability if |m| drifts beyond 1e-3 before renormalization or,
-    at zero applied field, if the energy increases by more than 1e-6 over a
-    step; WallNearBoundary if the wall comes within 5 exchange lengths of
-    the domain edge; NoConvergence if a midpoint step's Newton solve fails.
+    Raises ConfigError if T or dt is not finite and > 0; Instability if |m|
+    drifts beyond 1e-3 before renormalization or, at zero applied field, if
+    the energy increases by more than 1e-6 over a step; WallNearBoundary if
+    the wall comes within 5 exchange lengths of the domain edge;
+    NoConvergence if a midpoint step's Newton solve fails.
     """
+    for name, value in (("T", T), ("dt", dt)):
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise ConfigError(
+                f"integration {name} must be finite and > 0, got {name} = {value!r}")
     h = grid.h
     if method == "midpoint":
         step = _midpoint_stepper()

@@ -98,13 +98,10 @@ class EquilibriumPair:
 
 
 def _hessian(a, b, params: Params):
-    s, c = np.sin(a), np.cos(a)
-    sb, cb = np.sin(b), np.cos(b)
-    c2a, s2b, c2b = np.cos(2 * a), np.sin(2 * b), np.cos(2 * b)
-    U_aa = -c2a * cb * cb - params.K2 * c2a + params.H1 * s * cb + params.H2 * c + params.H3 * s * sb
-    U_ab = s * c * s2b + params.H1 * c * sb - params.H3 * c * cb
-    U_bb = s * s * c2b + params.H1 * s * cb + params.H3 * s * sb
-    return np.array([[U_aa, U_ab], [U_ab, U_bb]])
+    """Hessian of U in (a, b); since dU/da = F2 and dU/db = sin(a) F1 it is
+    [[dF2/da, dF2/db], [dF2/db, sin(a) dF1/db]]."""
+    _, dF1_db, dF2_da, dF2_db = torque_partials(a, b, params)
+    return np.array([[dF2_da, dF2_db], [dF2_db, np.sin(a) * dF1_db]])
 
 
 def _minimize_on_sphere(a, b, params: Params, max_iter=60):
@@ -171,21 +168,13 @@ def equilibria(params: Params) -> EquilibriumPair:
     return EquilibriumPair(plus=(float(ap), float(bp)), minus=(float(am), float(bm)))
 
 
-def effective_field(p: PolarProfile, params: Params, grid: Grid) -> np.ndarray:
-    """Effective field H = m'' + (m.x) x - K2 (m.y) y + Ha at the nodes.
-
-    The second derivative uses central differences; ghost nodes beyond the
-    ends hold the boundary equilibria, so no one-sided stencils appear.
-    """
-    m = angles_to_cartesian(p.psi, p.beta)
-    return effective_field_cartesian(m, params, grid,
-                                     angles_to_cartesian(*p.bc_minus),
-                                     angles_to_cartesian(*p.bc_plus))
-
-
 def effective_field_cartesian(m, params: Params, grid: Grid, m_minus, m_plus) -> np.ndarray:
-    """Effective field of (n, 3) Cartesian samples, with m_minus/m_plus as
-    the ghost nodes beyond the ends; the field of dynamics.llg_rhs."""
+    """Effective field H = m'' + (m.x) x - K2 (m.y) y + Ha of (n, 3)
+    Cartesian samples; the field of dynamics.llg_rhs.
+
+    The second derivative uses central differences; m_minus/m_plus are the
+    ghost nodes beyond the ends, so no one-sided stencils appear.
+    """
     h2 = grid.h * grid.h
     ext = np.empty((m.shape[0] + 2, 3))
     ext[1:-1] = m

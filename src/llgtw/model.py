@@ -15,7 +15,7 @@ pointwise arithmetic on azimuth corrections is well defined.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,18 +51,9 @@ class Params:
         if self.alpha <= 0:
             raise ConfigError(f"damping invariant alpha > 0 violated: alpha = {self.alpha}")
 
-    @property
-    def applied_field(self) -> np.ndarray:
-        return np.array([self.H1, self.H2, self.H3])
-
     def lam(self) -> tuple[float, float, float, float]:
         """The continuation parameters (H1, H2, H3, K2) as a tuple."""
         return (self.H1, self.H2, self.H3, self.K2)
-
-    def replace(self, **kw) -> "Params":
-        d = dict(H1=self.H1, H2=self.H2, H3=self.H3, K2=self.K2, alpha=self.alpha)
-        d.update(kw)
-        return Params(**d)
 
 
 @dataclass(frozen=True)
@@ -113,9 +104,6 @@ class Regime:
     @classmethod
     def transverse(cls, H3: float, H2: float = 0.0) -> "Regime":
         return cls(TRANSVERSE, H2=H2, H3=H3)
-
-    def base_params(self, alpha: float) -> Params:
-        return Params(0.0, self.H2, self.H3, self.K2, alpha)
 
 
 @dataclass(frozen=True)
@@ -256,20 +244,15 @@ def polar_from_cartesian(m: np.ndarray, beta_near=None) -> tuple[np.ndarray, np.
     return psi, beta
 
 
-def validate(params: Params, regime: Regime) -> None:
-    """Check a (parameters, regime) pair before any computation.
-
-    The regime's own invariants are enforced at construction; here we rule
-    out the degenerate target K2 = H2 = H3 = 0, for which no wall plane is
-    selected and the solvers do not apply.
-    """
-    if abs(params.K2) == 0.0 and abs(params.H2) == 0.0 and abs(params.H3) == 0.0:
+def validate(params: Params) -> None:
+    """Rule out the degenerate target K2 = H2 = H3 = 0 before any
+    computation: no wall plane is selected there and the solvers do not
+    apply.  A regime's own invariants are enforced at its construction."""
+    if params.K2 == 0.0 and params.H2 == 0.0 and params.H3 == 0.0:
         raise DegenerateRegime(
             "degenerate parameters K2 = H2 = H3 = 0: no hard-axis anisotropy or "
             "transverse field; travelling-wave construction does not apply"
         )
-    if regime.kind not in (WALKER, TRANSVERSE):
-        raise ConfigError(f"unknown regime kind {regime.kind!r}")
 
 
 # ---------------------------------------------------------------------------

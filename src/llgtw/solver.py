@@ -112,7 +112,7 @@ def default_switching(grid: Grid) -> SwitchingFunction:
 
 
 @dataclass(frozen=True)
-class ReferenceProfile:
+class ReferenceProfile(BaseProfile):
     """Reference angles for target parameters, with analytic derivatives.
 
     Built from a static base wall by switching its boundary values over to
@@ -126,17 +126,7 @@ class ReferenceProfile:
     mode paired with the phase constraint.
     """
 
-    grid: Grid
-    psi: np.ndarray
-    beta: np.ndarray
-    dpsi: np.ndarray
-    dbeta: np.ndarray
-    d2psi: np.ndarray
-    d2beta: np.ndarray
     beta_star_prime: np.ndarray
-    bc_minus: tuple[float, float]
-    bc_plus: tuple[float, float]
-    base: BaseProfile
 
 
 def _positive_int(x) -> bool:
@@ -231,24 +221,17 @@ def reference_profile(
         dbeta=base.dbeta + d1p * dbt_p - d1m * dbt_m,
         d2psi=base.d2psi + d2p * dps_p + d2m * dps_m,
         d2beta=base.d2beta + d2p * dbt_p + d2m * dbt_m,
-        beta_star_prime=base.dbeta.copy(),
         bc_minus=(base.bc_minus[0] + dps_m, base.bc_minus[1] + dbt_m),
         bc_plus=(base.bc_plus[0] + dps_p, base.bc_plus[1] + dbt_p),
-        base=base,
+        beta_star_prime=base.dbeta,
     )
 
 
-def _correction_derivatives(f: np.ndarray, h: float):
-    """4th-order first/second derivatives of a correction at interior nodes.
-
-    The correction vanishes at the grid ends and is extended by zero ghost
-    values (clamped decay), so the centered 5-point stencils apply at every
-    interior node.
-    """
-    n = f.size
-    E = np.zeros(n + 4)
-    E[2:-2] = f
-    a0, a1, a2, a3, a4 = E[1:n - 1], E[2:n], E[3:n + 1], E[4:n + 2], E[5:n + 3]
+def _stencil_derivatives(E: np.ndarray, h: float):
+    """4th-order first/second derivatives along the last axis by the centred
+    5-point stencils, at the points E[..., 2:-2]; the caller pads E with its
+    own ghost values."""
+    a0, a1, a2, a3, a4 = E[..., :-4], E[..., 1:-3], E[..., 2:-2], E[..., 3:-1], E[..., 4:]
     d1 = (a0 - 8.0 * a1 + 8.0 * a3 - a4) / (12.0 * h)
     d2 = (-a0 + 16.0 * a1 - 30.0 * a2 + 16.0 * a3 - a4) / (12.0 * h * h)
     return d1, d2
@@ -277,8 +260,12 @@ def _check_corrections(u: np.ndarray, w: np.ndarray, n: int):
 
 def _evaluate(u, w, V, params, ref, grid) -> _State:
     h = grid.h
-    du1, du2 = _correction_derivatives(u, h)
-    dw1, dw2 = _correction_derivatives(w, h)
+    # the corrections vanish at the grid ends and decay beyond them: one zero
+    # ghost past each end puts every interior node at E[:, 2:-2]
+    E = np.zeros((2, u.size + 2))
+    E[0, 1:-1] = u
+    E[1, 1:-1] = w
+    (du1, dw1), (du2, dw2) = _stencil_derivatives(E, h)
     a = ref.psi[1:-1] + u[1:-1]
     b = ref.beta[1:-1] + w[1:-1]
     if a.min() <= 0.0 or a.max() >= np.pi:
@@ -311,7 +298,7 @@ def residual(u, w, V, params: Params, ref: ReferenceProfile, grid: Grid) -> Resi
     return _evaluate(u, w, float(V), params, ref, grid).res
 
 
-# 5-point stencil coefficients over offsets -2..2
+# the 5-point stencils of _stencil_derivatives as weights over offsets -2..2
 _C1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _C2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 
@@ -396,31 +383,6 @@ def jacobian_dense(u, w, V, params, ref, grid) -> np.ndarray:
     return J
 
 
-def jacobian_fd(u, w, V, params, ref, grid, step=1e-7) -> np.ndarray:
-    """Finite-difference Jacobian (central differences), same ordering."""
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    m = grid.n_nodes - 2
-    N = 2 * m + 1
-
-    def pack(res):
-        return np.concatenate([_interleave(res), [res.phase]])
-
-    def eval_at(uu, ww, vv):
-        return pack(residual(uu, ww, vv, params, ref, grid))
-
-    J = np.empty((N, N))
-    for k in range(m):
-        for par, arr in ((0, u), (1, w)):
-            e = np.zeros_like(arr)
-            e[k + 1] = step
-            plus = eval_at(u + e if par == 0 else u, w + e if par == 1 else w, V)
-            minus = eval_at(u - e if par == 0 else u, w - e if par == 1 else w, V)
-            J[:, 2 * k + par] = (plus - minus) / (2 * step)
-    J[:, N - 1] = (eval_at(u, w, V + step) - eval_at(u, w, V - step)) / (2 * step)
-    return J
-
-
 def solve_tw(
     params: Params,
     regime: Regime,
@@ -456,7 +418,7 @@ def solve_tw(
     hits the hard axis.
     """
     opts = opts or NewtonOptions()
-    validate(params, regime)
+    validate(params)
     ref = reference_profile(params, regime, grid)
     n = grid.n_nodes
 
@@ -524,16 +486,6 @@ def solve_tw(
     )
 
 
-def _profile_derivatives(psi: np.ndarray, beta: np.ndarray, h: float):
-    """4th-order derivatives of full profile angles, edge-clamped ghosts."""
-    out = []
-    for f in (psi, beta):
-        E = np.pad(f, 2, mode="edge")
-        d1 = (E[:-4] - 8.0 * E[1:-3] + 8.0 * E[3:-1] - E[4:]) / (12.0 * h)
-        out.append(d1)
-    return out
-
-
 def velocity_identity(sol: TWSolution) -> float:
     """Wave speed from the energy-flux identity
 
@@ -547,7 +499,8 @@ def velocity_identity(sol: TWSolution) -> float:
     grid = sol.grid
     u_plus = potential(angles_to_cartesian(*p.bc_plus), sol.params)
     u_minus = potential(angles_to_cartesian(*p.bc_minus), sol.params)
-    dpsi, dbeta = _profile_derivatives(p.psi, p.beta, grid.h)
+    E = np.pad(np.stack([p.psi, p.beta]), ((0, 0), (2, 2)), mode="edge")
+    (dpsi, dbeta), _ = _stencil_derivatives(E, grid.h)
     integrand = dpsi * dpsi + np.sin(p.psi) ** 2 * dbeta * dbeta
     denom = sol.params.alpha * float(np.trapezoid(integrand, dx=grid.h))
     return float((u_plus - u_minus) / denom)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .errors import ConfigError
 from .model import Grid
 from .walls import transverse_wall
 
@@ -69,10 +70,6 @@ class SchrodingerOp:
         """<f, A f> on interior samples (Euclidean, no h weight)."""
         return float(f @ self.apply(f))
 
-    @property
-    def xi_interior(self) -> np.ndarray:
-        return self.grid.xi[1:-1]
-
 
 def bloch_azimuth_operator(grid: Grid) -> SchrodingerOp:
     """Azimuth linearization about the Bloch wall: W = 1 - 2 sech^2(xi).
@@ -115,8 +112,9 @@ def lowest_eigenpairs(op: SchrodingerOp, k: int):
 
     Returns a list of (eigenvalue, eigenvector-on-interior-nodes) pairs.
     """
-    if k < 1:
-        raise ValueError("need k >= 1 eigenpairs")
+    if not 1 <= k <= op.diag.size:
+        raise ConfigError(f"need 1 <= k <= {op.diag.size} eigenpairs (the interior "
+                          f"node count), got k = {k}")
     vals, vecs = eigh_tridiagonal(
         op.diag, op.offdiag, select="i", select_range=(0, k - 1)
     )

@@ -3,10 +3,11 @@ run as a sequence of numbered checks with stated tolerances.
 
 Each check returns a CheckResult; `run_all` executes them in order and
 assembles a JSON-able report with one entry per criterion.  The suite is
-deterministic for a fixed grid and seed.  Checks 7 and 8 run one body over
-two parameter lattices (a box around the anisotropy-dominated base and one
-around the transverse-field base); check 9 reads the velocity-identity
-values they computed.
+deterministic for a fixed grid and seed.  Checks 1 and 2 run one body at
+the two base points, and checks 7 and 8 run one body over two parameter
+lattices (a box around the anisotropy-dominated base and one around the
+transverse-field base); check 9 reads the velocity-identity values they
+computed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import spectral as sp
-from .model import Grid, Params, Regime, angles_to_cartesian, to_cartesian
+from .model import SCHEMA_VERSION, Grid, Params, Regime, angles_to_cartesian, to_cartesian
 from .solver import (
     NewtonOptions,
     reference_profile,
@@ -28,8 +29,6 @@ from .solver import (
     velocity_identity,
 )
 from .walls import base_profile, bloch_wall
-
-SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -50,47 +49,37 @@ class CheckResult:
         }
 
 
-def _num(x) -> float:
-    return float(np.asarray(x))
-
-
 # --- 1, 2: static walls annihilate the travelling-wave residual -------------
 
-def check_static_residual_anisotropy(grid: Grid) -> CheckResult:
-    worst = 0.0
+def _check_static_residual(name: str, expected: str, cases, grid: Grid) -> CheckResult:
+    """Residual norm at zero corrections and V = 0 for each (label, params,
+    regime) case, whose params are the regime's base point."""
+    z = np.zeros(grid.n_nodes)
     per = {}
-    for K2 in (0.5, 1.0, 5.0):
-        params = Params(0, 0, 0, K2, 0.1)
-        ref = reference_profile(params, Regime.walker(K2), grid)
-        z = np.zeros(grid.n_nodes)
-        rn = residual_norm(residual(z, z, 0.0, params, ref, grid), grid)
-        per[f"K2={K2}"] = rn
-        worst = max(worst, rn)
-    return CheckResult(
+    for label, params, regime in cases:
+        ref = reference_profile(params, regime, grid)
+        per[label] = residual_norm(residual(z, z, 0.0, params, ref, grid), grid)
+    worst = max(per.values())
+    return CheckResult(name, expected, {"worst_norm": worst, **per}, {"norm": 1e-6},
+                       worst <= 1e-6)
+
+
+def check_static_residual_anisotropy(grid: Grid) -> CheckResult:
+    return _check_static_residual(
         "1 static residual at the anisotropy base",
         "||residual(0,0,0)|| <= 1e-6 for K2 in {0.5, 1, 5}",
-        {"worst_norm": worst, **per},
-        {"norm": 1e-6},
-        worst <= 1e-6,
+        [(f"K2={K2}", Params(0, 0, 0, K2, 0.1), Regime.walker(K2)) for K2 in (0.5, 1.0, 5.0)],
+        grid,
     )
 
 
 def check_static_residual_transverse(grid: Grid) -> CheckResult:
-    worst = 0.0
-    per = {}
-    for H3 in (0.25, 0.5, 0.75):
-        params = Params(0, 0, H3, 0, 0.1)
-        ref = reference_profile(params, Regime.transverse(H3), grid)
-        z = np.zeros(grid.n_nodes)
-        rn = residual_norm(residual(z, z, 0.0, params, ref, grid), grid)
-        per[f"H3={H3}"] = rn
-        worst = max(worst, rn)
-    return CheckResult(
+    return _check_static_residual(
         "2 static residual at the transverse base",
         "||residual(0,0,0)|| <= 1e-6 for H3 in {0.25, 0.5, 0.75}",
-        {"worst_norm": worst, **per},
-        {"norm": 1e-6},
-        worst <= 1e-6,
+        [(f"H3={H3}", Params(0, 0, H3, 0, 0.1), Regime.transverse(H3))
+         for H3 in (0.25, 0.5, 0.75)],
+        grid,
     )
 
 

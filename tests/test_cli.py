@@ -189,6 +189,18 @@ def test_spectrum_requires_H3(capsys):
     assert "H3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--T", "1", "--dt", "0"], "dt"), (["--T", "1", "--dt", "-0.05"], "dt"),
+    (["--T", "-1"], "T"), (["--T", "1", "--max-snapshots", "0"], "--max-snapshots"),
+])
+def test_simulate_rejects_time_inputs_up_front(tmp_path, capsys, flags, named):
+    # usage errors (exit 2) naming the input, not a traceback or a later
+    # "trajectory too short"
+    assert run(["simulate", "--K2", "1", "--out", str(tmp_path / "sim")] + flags) == 2
+    err = capsys.readouterr().err
+    assert f"{named} must be" in err and "too short" not in err
+
+
 def test_simulate_outputs(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(WALKER_CFG)
@@ -215,6 +227,19 @@ def test_exit_code_on_config_error(capsys, tmp_path):
     # a transverse base field along the hard axis alone is refused by name
     assert run(["solve-tw", "--regime", "transverse", "--H2", "0.3", "--H3", "0"]) == 2
     assert "H3 = 0" in capsys.readouterr().err
+    # spectrum and static refuse flags their operator or wall would ignore
+    assert run(["spectrum", "--operator", "L", "--k", "0"]) == 2
+    assert "1 <= k <= 799" in capsys.readouterr().err
+    assert run(["spectrum", "--operator", "L", "--k", "100", "--n-nodes", "101"]) == 2
+    assert "1 <= k <= 99" in capsys.readouterr().err
+    assert run(["spectrum", "--operator", "M", "--H3", "0.5", "--K2", "1"]) == 2
+    assert "takes no --K2" in capsys.readouterr().err
+    assert run(["spectrum", "--operator", "L", "--H3", "0.5"]) == 2
+    assert "takes no --H3" in capsys.readouterr().err
+    assert run(["spectrum", "--operator", "L", "--K2", "-2"]) == 2
+    assert "K2 >= 0" in capsys.readouterr().err
+    assert run(["static", "--wall", "bloch", "--H3", "0.5"]) == 2
+    assert "takes no --H3" in capsys.readouterr().err
 
 
 def test_exit_code_on_numerical_failure(capsys):

@@ -214,6 +214,19 @@ def test_unknown_method_rejected(grid):
         dyn.integrate(m0, PARAMS0, grid, T=1.0, method="bogus")
 
 
+@pytest.mark.parametrize("kw", [dict(T=1.0, dt=0.0), dict(T=1.0, dt=-0.05),
+                                dict(T=1.0, dt=float("nan")), dict(T=-1.0),
+                                dict(T=0.0), dict(T=float("inf"))])
+def test_time_and_step_rejected_up_front(grid, kw):
+    # a bad T or dt is a usage error naming the value, for either method,
+    # not a ZeroDivisionError or a one-step run that fails later
+    m0 = model.to_cartesian(walls.bloch_wall(grid))
+    name = "dt" if "dt" in kw else "T"
+    for method in ("midpoint", "rk4"):
+        with pytest.raises(ConfigError, match=f"integration {name} must be finite and > 0"):
+            dyn.integrate(m0, PARAMS0, grid, method=method, **kw)
+
+
 def test_trajectory_records_run(grid):
     m0 = model.to_cartesian(walls.bloch_wall(grid))
     traj = dyn.integrate(m0, PARAMS0, grid, T=0.5)

@@ -145,18 +145,25 @@ def test_uniform_energy_zero(grid):
     assert abs(en.energy_cartesian(m, params, grid)) < 1e-14
 
 
+def _effective_field(p, params, grid):
+    """Effective field of a polar profile, its boundary values as ghost nodes."""
+    m = model.angles_to_cartesian(p.psi, p.beta)
+    return en.effective_field_cartesian(m, params, grid, model.angles_to_cartesian(*p.bc_minus),
+                                        model.angles_to_cartesian(*p.bc_plus))
+
+
 def test_effective_field_uniform(grid):
     params = model.Params(0, 0, 0, 1.0, 0.1)
     psi = np.full(grid.n_nodes, np.pi / 2)
     p = model.PolarProfile(psi, np.zeros(grid.n_nodes), (np.pi / 2, 0), (np.pi / 2, 0))
-    H = en.effective_field(p, params, grid)
+    H = _effective_field(p, params, grid)
     assert np.abs(H - XHAT).max() < 1e-12
 
 
 def test_effective_field_bloch_centre(grid):
     params = model.Params(0, 0, 0, 1.0, 0.1)
     p = walls.bloch_wall(grid)
-    H = en.effective_field(p, params, grid)
+    H = _effective_field(p, params, grid)
     c = (grid.n_nodes - 1) // 2
     assert H[c] == pytest.approx([0, 0, -1], abs=grid.h**2)
 
@@ -164,6 +171,6 @@ def test_effective_field_bloch_centre(grid):
 def test_effective_field_bloch_torque_small(grid):
     params = model.Params(0, 0, 0, 1.0, 0.1)
     p = walls.bloch_wall(grid)
-    H = en.effective_field(p, params, grid)
+    H = _effective_field(p, params, grid)
     m = model.to_cartesian(p).m
     assert np.abs(np.cross(m, H)).max() < 0.5 * grid.h**2

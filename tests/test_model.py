@@ -106,11 +106,10 @@ def test_cartesian_profile_unit_invariant():
 
 
 def test_validate_degenerate():
-    reg = model.Regime.walker(1.0)
-    model.validate(model.Params(0, 0, 0, 1.0, 0.1), reg)
-    model.validate(model.Params(0, 0, 0.5, 0.0, 0.1), model.Regime.transverse(0.5))
+    model.validate(model.Params(0, 0, 0, 1.0, 0.1))
+    model.validate(model.Params(0, 0, 0.5, 0.0, 0.1))
     with pytest.raises(DegenerateRegime):
-        model.validate(model.Params(0, 0, 0, 0, 0.1), reg)
+        model.validate(model.Params(0, 0, 0, 0, 0.1))
 
 
 def test_profile_csv_header(grid):

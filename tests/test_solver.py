@@ -146,9 +146,33 @@ def test_residual_endpoint_enforcement(grid):
 
 # --- Jacobian -----------------------------------------------------------------
 
+def jacobian_fd(u, w, V, params, ref, grid, step=1e-7) -> np.ndarray:
+    """Finite-difference Jacobian (central differences), in the interleaved
+    ordering of tws.jacobian_dense."""
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
+    m = grid.n_nodes - 2
+    N = 2 * m + 1
+
+    def eval_at(uu, ww, vv):
+        res = tws.residual(uu, ww, vv, params, ref, grid)
+        return np.concatenate([np.column_stack([res.azimuth, res.tilt]).ravel(), [res.phase]])
+
+    J = np.empty((N, N))
+    for k in range(m):
+        for par, arr in ((0, u), (1, w)):
+            e = np.zeros_like(arr)
+            e[k + 1] = step
+            plus = eval_at(u + e if par == 0 else u, w + e if par == 1 else w, V)
+            minus = eval_at(u - e if par == 0 else u, w - e if par == 1 else w, V)
+            J[:, 2 * k + par] = (plus - minus) / (2 * step)
+    J[:, N - 1] = (eval_at(u, w, V + step) - eval_at(u, w, V - step)) / (2 * step)
+    return J
+
+
 def _assert_jacobian_matches_fd(u, w, V, params, ref, g):
     Ja = tws.jacobian_dense(u, w, V, params, ref, g)
-    Jf = tws.jacobian_fd(u, w, V, params, ref, g, step=1e-6)
+    Jf = jacobian_fd(u, w, V, params, ref, g, step=1e-6)
     err = np.abs(Ja - Jf) / np.maximum(np.abs(Jf), 1.0)
     assert err.max() < 1e-5
 
@@ -234,7 +258,8 @@ def test_bloch_denominator_value(grid):
     # int |m'|^2 = 2 for the Bloch wall, so the identity denominator is 2 alpha
     sol = tws.solve_tw(model.Params(0, 0, 0, 1.0, 0.1), model.Regime.walker(1.0), grid, OPTS)
     p = sol.profile
-    dpsi, dbeta = tws._profile_derivatives(p.psi, p.beta, grid.h)
+    E = np.pad(np.stack([p.psi, p.beta]), ((0, 0), (2, 2)), mode="edge")
+    (dpsi, dbeta), _ = tws._stencil_derivatives(E, grid.h)
     denom = float(np.trapezoid(dpsi**2 + np.sin(p.psi) ** 2 * dbeta**2, dx=grid.h))
     assert denom == pytest.approx(2.0, abs=1e-6)
 
