@@ -7,8 +7,9 @@ field the discrete energy is a Lyapunov function: it can only decrease.
 
 This demo uses a moderate grid so it finishes in a few seconds; the
 verification suite repeats it at the production resolution.  `integrate`
-uses the implicit midpoint rule with its default step dt = 0.05 on any
-grid; `method="rk4"` selects the explicit scheme, held to dt <= 0.25 h^2.
+uses the implicit midpoint rule and chooses its own steps, holding the
+local error estimate under MIDPOINT_TOL; `dt=...` fixes the step instead,
+and `method="rk4"` selects the explicit scheme, held to dt <= 0.25 h^2.
 """
 
 import numpy as np

@@ -312,8 +312,6 @@ def cmd_simulate(args) -> int:
     if args.max_snapshots < 1:
         raise ConfigError(f"simulate --max-snapshots must be >= 1, got {args.max_snapshots}")
     cfg = _load_config(args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     if cfg.regime.kind == WALKER:
         m0 = to_cartesian(bloch_wall(cfg.grid))
     else:
@@ -321,6 +319,8 @@ def cmd_simulate(args) -> int:
                                cfg.grid, extend=False)
         m0 = to_cartesian(base)
     traj = dyn.integrate(m0, cfg.params, cfg.grid, T=args.T, dt=args.dt)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     diag = ["t,x_w,energy,max_unit_violation"]
     for k in range(traj.t.size):
         diag.append(f"{traj.t[k]:.17g},{traj.x_w[k]:.17g},{traj.energy[k]:.17g},"
@@ -334,8 +334,12 @@ def cmd_simulate(args) -> int:
             lines.append(f"{cfg.grid.xi[i]:.17g},{m[i,0]:.17g},{m[i,1]:.17g},{m[i,2]:.17g}")
         (outdir / f"snapshot_{k:06d}.csv").write_text("\n".join(lines) + "\n")
     _, vel = dyn.track_wall(traj)
-    print(f"integrated to T = {traj.t[-1]:.6g} by {traj.method}, dt = {traj.dt:.6g}, "
-          f"{traj.n_steps} steps; tracked velocity = {vel:.8g}")
+    if traj.dt is None:
+        steps = f"tol = {traj.tol:.3g}, {traj.n_steps} steps accepted, {traj.n_rejected} rejected"
+    else:
+        steps = f"dt = {traj.dt:.6g}, {traj.n_steps} steps"
+    print(f"integrated to T = {traj.t[-1]:.6g} by {traj.method}, {steps}, "
+          f"{traj.n_factorizations} factorizations; tracked velocity = {vel:.8g}")
     return 0
 
 
@@ -409,7 +413,8 @@ def main(argv=None) -> int:
     _add_config_flags(p)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--dt", type=float,
-                   help=f"implicit-midpoint time step (default {dyn.MIDPOINT_DT})")
+                   help="fixed implicit-midpoint time step (default: steps chosen to keep "
+                        f"the local error estimate under {dyn.MIDPOINT_TOL:g})")
     p.add_argument("--out", required=True)
     p.add_argument("--max-snapshots", dest="max_snapshots", type=int, default=50)
     p.set_defaults(func=cmd_simulate)

@@ -199,6 +199,7 @@ def test_simulate_rejects_time_inputs_up_front(tmp_path, capsys, flags, named):
     assert run(["simulate", "--K2", "1", "--out", str(tmp_path / "sim")] + flags) == 2
     err = capsys.readouterr().err
     assert f"{named} must be" in err and "too short" not in err
+    assert not (tmp_path / "sim").exists()    # no empty output directory left behind
 
 
 def test_simulate_outputs(tmp_path, capsys):
@@ -212,7 +213,11 @@ def test_simulate_outputs(tmp_path, capsys):
     assert len(diag) > 3
     snaps = sorted(outdir.glob("snapshot_*.csv"))
     assert snaps and snaps[0].read_text().splitlines()[0] == "xi,m1,m2,m3"
-    assert "by midpoint, dt = 0.05, 40 steps" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "by midpoint, tol = 1e-05, " in out and " rejected, " in out and "factorizations" in out
+    assert run(["simulate", "--config", str(cfg), "--T", "2.0", "--dt", "0.05",
+                "--out", str(outdir)]) == 0
+    assert "by midpoint, dt = 0.05, 40 steps, " in capsys.readouterr().out
 
 
 def test_exit_code_on_config_error(capsys, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from llgtw import dynamics as dyn
 from llgtw import energetics, model, walls
 from llgtw import solver as tws
-from llgtw.errors import ConfigError, MultipleWalls, NoWall, WallNearBoundary
+from llgtw.errors import ConfigError, MultipleWalls, NoConvergence, NoWall, WallNearBoundary
 
 
 @pytest.fixture(scope="module")
@@ -230,9 +230,18 @@ def test_time_and_step_rejected_up_front(grid, kw):
 def test_trajectory_records_run(grid):
     m0 = model.to_cartesian(walls.bloch_wall(grid))
     traj = dyn.integrate(m0, PARAMS0, grid, T=0.5)
-    assert (traj.method, traj.dt, traj.n_steps) == ("midpoint", dyn.MIDPOINT_DT, 10)
+    assert (traj.method, traj.dt, traj.tol) == ("midpoint", None, dyn.MIDPOINT_TOL)
+    assert traj.t[-1] == 0.5 and traj.t.size == traj.n_steps + 1
+    assert traj.n_rejected == 0 and 1 <= traj.n_factorizations <= traj.n_steps
+    traj = dyn.integrate(m0, PARAMS0, grid, T=0.5, tol=1e-7)
+    assert traj.tol == 1e-7 and traj.n_steps > 10
+    traj = dyn.integrate(m0, PARAMS0, grid, T=0.5, dt=0.05)
+    assert (traj.method, traj.dt, traj.n_steps, traj.tol, traj.n_rejected) == \
+        ("midpoint", 0.05, 10, None, 0)
+    assert traj.n_factorizations >= 1
     traj = dyn.integrate(m0, PARAMS0, grid, T=0.01, method="rk4")
-    assert (traj.method, traj.dt, traj.n_steps) == ("rk4", 0.2 * grid.h**2, 5)
+    assert (traj.method, traj.dt, traj.n_steps, traj.n_factorizations) == \
+        ("rk4", 0.2 * grid.h**2, 5, 0)
 
 
 def test_sampling_with_final_partial_stride(grid):
@@ -240,10 +249,89 @@ def test_sampling_with_final_partial_stride(grid):
     # the values a list of per-sample copies gave
     params = model.Params(0.01, 0, 0, 1.0, 0.1)
     m0 = model.to_cartesian(walls.bloch_wall(grid))
-    every = dyn.integrate(m0, params, grid, T=1.0, sample_every=1)
-    traj = dyn.integrate(m0, params, grid, T=1.0, sample_every=3)
+    every = dyn.integrate(m0, params, grid, T=1.0, dt=0.05, sample_every=1)
+    traj = dyn.integrate(m0, params, grid, T=1.0, dt=0.05, sample_every=3)
     assert traj.n_steps % 3 != 0
     steps = list(range(0, traj.n_steps + 1, 3)) + [traj.n_steps]
     assert np.array_equal(traj.t, np.array([k * traj.dt for k in steps]))
     assert np.array_equal(traj.profiles, np.array([every.profiles[k] for k in steps]))
     assert np.array_equal(traj.x_w, every.x_w[steps])
+
+
+def test_adaptive_sampling_by_time(grid):
+    # by default an adaptive run keeps the first accepted step past each of
+    # 200 evenly spaced times, and the final state at T
+    params = model.Params(0.01, 0, 0, 1.0, 0.1)
+    m0 = model.to_cartesian(walls.bloch_wall(grid))
+    every = dyn.integrate(m0, params, grid, T=10.0, tol=1e-8, sample_every=1)
+    traj = dyn.integrate(m0, params, grid, T=10.0, tol=1e-8)
+    # steps shorter than the sampling interval, so each interval holds one
+    assert every.n_steps == traj.n_steps and np.diff(every.t).max() < 10.0 / dyn.N_SAMPLES
+    assert every.t.size == every.n_steps + 1 and traj.t[-1] == 10.0
+    assert traj.t.size == dyn.N_SAMPLES + 1
+    assert np.array_equal(np.floor(traj.t[:-1] * dyn.N_SAMPLES / 10.0), np.arange(dyn.N_SAMPLES))
+    k = np.searchsorted(every.t, traj.t)
+    assert np.array_equal(every.t[k], traj.t)
+    assert np.array_equal(every.profiles[k], traj.profiles)
+    assert np.array_equal(every.energy[k], traj.energy)
+
+
+def test_adaptive_velocity_converges_to_fixed_step_limit(grid):
+    # the tracked-velocity gap of a run from the travelling-wave profile
+    # approaches its small-dt value as tol shrinks; the time error of a 2nd
+    # order method whose local error is tol scales like tol^(2/3), about
+    # 4.6x per decade (measured: 7.7e-4, 1.7e-4, 3.4e-5).  The dt = 0.05
+    # reference differs from dt = 0.01 by 3e-6, under a tenth of the
+    # smallest of them.
+    params = model.Params(0.01, 0, 0, 1.0, 0.1)
+    sol = tws.solve_tw(params, model.Regime.walker(1.0), grid,
+                       tws.NewtonOptions(tol_residual=1e-12))
+    m0 = model.to_cartesian(sol.profile)
+
+    def gap(**kw):
+        _, vel = dyn.track_wall(dyn.integrate(m0, params, grid, T=20.0, **kw))
+        return (vel - sol.V) / abs(sol.V)
+
+    reference = gap(dt=0.05)
+    errors = [abs(gap(tol=tol) - reference) for tol in (1e-4, 1e-5, 1e-6)]
+    assert errors[0] < 2e-3                   # the estimate's scale, not only its trend
+    assert all(later < earlier / 2 for earlier, later in zip(errors, errors[1:]))
+    assert errors[-1] < 0.1 * errors[0]
+
+
+def test_adaptive_stiff_start_rejects_and_keeps_invariants(grid):
+    # a narrow bump on a Bloch wall at zero field excites grid-scale modes
+    # that the start step of 0.01 does not resolve: the error test rejects
+    # steps, and each accepted step still keeps |m| = 1 and lowers the energy
+    wall = walls.bloch_wall(grid)
+    m0 = model.angles_to_cartesian(wall.psi + 0.3 * np.exp(-(grid.xi / 0.2) ** 2), wall.beta)
+    traj = dyn.integrate(m0, PARAMS0, grid, T=2.0, sample_every=1)
+    assert traj.n_rejected >= 1
+    assert traj.t.size == traj.n_steps + 1
+    assert np.diff(traj.energy).max() <= 1e-12
+    assert traj.max_unit_violation.max() <= 1e-11
+    assert traj.energy[-1] < traj.energy[0] - 1e-4
+
+
+def test_adaptive_step_floor_raises_no_convergence(grid, monkeypatch):
+    # when every Newton solve fails, each retry halves the step until it
+    # falls below MIN_DT; the error names t, dt and the residual
+    monkeypatch.setattr(dyn, "NEWTON_MAX_ITER", 0)
+    m0 = model.to_cartesian(walls.bloch_wall(grid))
+    params = model.Params(0.01, 0, 0, 1.0, 0.1)
+    with pytest.raises(NoConvergence, match=r"from t = 0 failed: dt = 9\.54e-09 fell below "
+                                            r"the floor 1e-08; Newton residual \d"):
+        dyn.integrate(m0, params, grid, T=1.0)
+
+
+@pytest.mark.parametrize("kw, named", [
+    (dict(sample_every=0), "sample_every"), (dict(sample_every=-3), "sample_every"),
+    (dict(sample_every=2.5), "sample_every"), (dict(sample_every=True), "sample_every"),
+    (dict(tol=0.0), "tol"), (dict(tol=-1e-5), "tol"), (dict(tol=float("nan")), "tol"),
+    (dict(tol=float("inf")), "tol"), (dict(tol=1e-5, dt=0.05), "tol"),
+    (dict(tol=1e-5, method="rk4"), "tol"),
+])
+def test_sampling_and_tolerance_rejected_up_front(grid, kw, named):
+    m0 = model.to_cartesian(walls.bloch_wall(grid))
+    with pytest.raises(ConfigError, match=named):
+        dyn.integrate(m0, PARAMS0, grid, T=1.0, **kw)
