@@ -39,10 +39,12 @@ with C_c = -1/12, so its local error is about |x - x_pred| / (12 C_p + 1),
 exceeds the tolerance is rejected and retried shorter; otherwise the next
 step is SAFETY (tol / err)^(1/3) times longer, at most MAX_GROWTH times.
 dt is kept while that factor lies in [1, KEEP_DT_BELOW), because the band
-LU factors are refactored whenever dt changes.  The first step is START_DT,
-and the first two, which lack the history for an estimate, are accepted
-unchecked.  A failed Newton solve halves the step.  Below MIN_DT the run
-raises NoConvergence.
+LU factors are refactored whenever dt changes.  The first step is START_DT.
+The first two steps lack the history for an estimate, so the third is the
+first one checked; if it is rejected, the two before it, as long as it, are
+discarded too and the run starts again from t = 0 with the shorter step.
+A failed Newton solve halves the step.  Below MIN_DT the run raises
+NoConvergence.
 
 MIDPOINT_TOL is set by accuracy.  Check 11's tracked-velocity gap has a
 dt -> 0 limit of 3.16e-4, from the grid and the wall tracking.  At
@@ -329,6 +331,10 @@ class _Record:
         self._store(t, m, x_w, energy, self.worst_drift)
         self.worst_drift = 0.0
 
+    def restart(self):
+        """Drop everything after the initial state."""
+        self.n, self.worst_drift, self.prev_energy = 1, 0.0, self.energy[0]
+
     def arrays(self):
         self._resize(self.n)
         return dict(t=self.t, profiles=self.profiles, x_w=self.x_w,
@@ -346,6 +352,7 @@ def _run_fixed(m, dt, n_steps, sample_every, step, record):
 def _run_adaptive(m, T, tol, sample_every, newton, record, params, grid, m_minus, m_plus):
     """Integrate over [0, T] by the implicit midpoint rule with error-controlled
     steps (see integrate); returns (accepted steps, rejected steps)."""
+    m0 = m
     ts, ms = [0.0], [m]          # the last three accepted states
     t, dt = 0.0, START_DT
     n_steps = n_rejected = 0
@@ -374,6 +381,13 @@ def _run_adaptive(m, T, tol, sample_every, newton, record, params, grid, m_minus
                     f"adaptive implicit midpoint step from t = {t:.6g} failed: dt = {dt:.3g} "
                     f"fell below the floor {MIN_DT:.0e}; {what}"
                 )
+            if n_steps == 2:
+                # the first checked step failed: redo the two unchecked
+                # steps before it at its shorter dt
+                n_rejected += 2
+                n_steps, t, m, ts, ms = 0, 0.0, m0, [0.0], [m0]
+                next_sample = T / N_SAMPLES
+                record.restart()
             continue
         if factor < 1.0 or factor >= KEEP_DT_BELOW:
             dt = step * min(MAX_GROWTH, factor)
@@ -411,7 +425,6 @@ def integrate(
     dt: float | None = None,
     sample_every: int | None = None,
     method: str = "midpoint",
-    tol: float | None = None,
 ) -> Trajectory:
     """Integrate the magnetization dynamics from m0 over [0, T].
 
@@ -419,25 +432,22 @@ def integrate(
     ----------
     m0 : CartesianProfile or (n, 3) array of unit vectors.
     dt : fixed time step.  Without it "midpoint" chooses its own steps to
-        keep the local error estimate under `tol`; "rk4" defaults to
+        keep the local error estimate under MIDPOINT_TOL; "rk4" defaults to
         0.2 h^2 and requires dt <= 0.25 h^2.
     sample_every : accepted steps between recorded samples.  By default
         about 200 samples are kept: every n_steps // 200-th step at a fixed
         dt, the first accepted step past each of 200 evenly spaced times
         on an adaptive run.  The final state is always recorded.
     method : "midpoint" (implicit midpoint rule) or "rk4".
-    tol : local error tolerance of the adaptive midpoint rule (default
-        MIDPOINT_TOL); not accepted with dt or with "rk4".
 
-    Raises ConfigError if T, dt or tol is not finite and > 0, sample_every
-    is not a positive integer, or tol comes with dt or "rk4"; Instability if
-    |m| drifts beyond 1e-3 before renormalization or, at zero applied field,
-    if the energy increases by more than 1e-6 over a step; WallNearBoundary
-    if the wall comes within 5 exchange lengths of the domain edge;
-    NoConvergence if a fixed-step midpoint Newton solve fails, or an
-    adaptive step falls below MIN_DT.
+    Raises ConfigError if T or dt is not finite and > 0, or sample_every is
+    not a positive integer; Instability if |m| drifts beyond 1e-3 before
+    renormalization or, at zero applied field, if the energy increases by
+    more than 1e-6 over a step; WallNearBoundary if the wall comes within 5
+    exchange lengths of the domain edge; NoConvergence if a fixed-step
+    midpoint Newton solve fails, or an adaptive step falls below MIN_DT.
     """
-    for name, value in (("T", T), ("dt", dt), ("tol", tol)):
+    for name, value in (("T", T), ("dt", dt)):
         if value is not None and not (np.isfinite(value) and value > 0):
             raise ConfigError(
                 f"integration {name} must be finite and > 0, got {name} = {value!r}")
@@ -445,9 +455,6 @@ def integrate(
                                      or not isinstance(sample_every, numbers.Integral)
                                      or sample_every < 1):
         raise ConfigError(f"sample_every must be a positive integer, got {sample_every!r}")
-    if tol is not None and (dt is not None or method == "rk4"):
-        raise ConfigError("tol sets the adaptive midpoint step; it cannot be combined "
-                          "with a fixed dt or with method 'rk4'")
     h = grid.h
     if method == "midpoint":
         newton = _MidpointNewton()
@@ -472,10 +479,9 @@ def integrate(
     m[0] = m_minus
     m[-1] = m_plus
 
+    tol = MIDPOINT_TOL if dt is None else None
     if dt is None:
-        tol = MIDPOINT_TOL if tol is None else tol
-        record = _Record(m, params, grid, m_minus, m_plus,
-                         N_SAMPLES + 1 if sample_every is None else 64)
+        record = _Record(m, params, grid, m_minus, m_plus, N_SAMPLES + 1)
         n_steps, n_rejected = _run_adaptive(m, T, tol, sample_every, newton, record,
                                             params, grid, m_minus, m_plus)
     else:

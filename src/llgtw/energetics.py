@@ -49,19 +49,13 @@ def potential_gradient(m, params: Params) -> np.ndarray:
     return g
 
 
-def _trig(a, b, double=False):
-    """sin a, cos a, sin b, cos b, and with `double` also cos 2a, sin 2b, cos 2b.
-
-    Float angles give Python floats, whose arithmetic costs about a third of
-    that on numpy scalars, with the same values; anything else gives arrays.
-    """
-    scalar = isinstance(a, float) and isinstance(b, float)
-    if not scalar:
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    out = [np.sin(a), np.cos(a), np.sin(b), np.cos(b)]
-    if double:
-        out += [np.cos(2.0 * a), np.sin(2.0 * b), np.cos(2.0 * b)]
-    return [float(v) for v in out] if scalar else out
+def _angles(a, b):
+    """Float angles as they are, anything else as float arrays: numpy
+    functions of a float give numpy scalars, whose arithmetic costs about a
+    third of that on 0-d arrays, with the same values."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a, b
+    return np.asarray(a, dtype=float), np.asarray(b, dtype=float)
 
 
 def torques(a, b, params: Params):
@@ -70,7 +64,9 @@ def torques(a, b, params: Params):
     F1 = -p.grad U and F2 = n.grad U; both vanish at equilibria.  Accepts
     scalars or arrays (broadcast together).
     """
-    s, c, sb, cb = _trig(a, b)
+    a, b = _angles(a, b)
+    s, c = np.sin(a), np.cos(a)
+    sb, cb = np.sin(b), np.cos(b)
     F1 = s * sb * cb + params.H1 * sb - params.H3 * cb
     F2 = -s * c * cb * cb - params.H1 * c * cb - params.K2 * s * c + params.H2 * s - params.H3 * c * sb
     if isinstance(F1, float):
@@ -80,7 +76,12 @@ def torques(a, b, params: Params):
 
 def torque_partials(a, b, params: Params):
     """Partial derivatives (dF1/da, dF1/db, dF2/da, dF2/db); solver Jacobian."""
-    s, c, sb, cb, c2a, s2b, c2b = _trig(a, b, double=True)
+    a, b = _angles(a, b)
+    s, c = np.sin(a), np.cos(a)
+    sb, cb = np.sin(b), np.cos(b)
+    c2a = np.cos(2.0 * a)
+    s2b = np.sin(2.0 * b)
+    c2b = np.cos(2.0 * b)
     dF1_da = c * sb * cb
     dF1_db = s * c2b + params.H1 * cb + params.H3 * sb
     dF2_da = -c2a * cb * cb + params.H1 * s * cb - params.K2 * c2a + params.H2 * c + params.H3 * s * sb

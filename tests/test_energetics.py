@@ -90,15 +90,15 @@ def test_torque_partials_fd():
 
 
 def test_scalar_torque_calls_match_0d_array_calls():
-    # float angles run on Python floats; the values must be those of the
-    # array path, bit for bit
+    # float angles skip the conversion to 0-d arrays; the values must be
+    # those of the array path, bit for bit
     rng = np.random.default_rng(5)
     params = model.Params(0.05, 0.1, -0.2, 1.1, 0.1)
     for _ in range(50):
         a, b = float(rng.uniform(0.0, np.pi)), float(rng.uniform(-np.pi, np.pi))
         for fn in (en.torques, en.torque_partials):
             scalar = fn(a, b, params)
-            assert all(type(v) is float for v in scalar)
+            assert all(isinstance(v, float) for v in scalar)
             assert scalar == tuple(float(v) for v in fn(np.asarray(a), np.asarray(b), params))
 
 
